@@ -14,6 +14,7 @@ from .core import (
     check_identity,
     classify,
     next_boundary,
+    offset_x,
 )
 from .construct import (
     ResidueRule,

@@ -19,6 +19,7 @@ from .core import Triple, classify
 from .enumeration import enumerate_fast, write_solutions_csv
 from .parallel import default_workers
 from .sieve import PrimeRange
+from .sink import write_to
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,10 +101,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     data = grid_mod.render(args.p, args.xmax, args.ymax, args.format)
-    if args.out:
-        grid_mod.write_grid(args.p, args.xmax, args.ymax, args.format, args.out)
-    else:
-        sys.stdout.buffer.write(data)
+    write_to(args.out or sys.stdout.buffer, data)
     return 0
 
 

@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from .core import Triple, classify, next_boundary
-from .sieve import is_prime
+from .sieve import is_prime, require_prime
 
 RULE_FILES = {
     "theorem5": "theorem5.rules",
@@ -183,8 +183,7 @@ def construct_solution(rule: ResidueRule, p: int) -> Triple:
     y, and z is solved from the identity.  Any failure along the way is a
     transcription error in the table, never an expected outcome.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    require_prime(p)
     if not rule.matches(p):
         raise ValueError(f"p = {p} is not in class {rule.label()}")
     y = rule.evaluate(p)

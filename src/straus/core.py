@@ -108,6 +108,15 @@ class Triple:
         return (self.x, self.y, self.z)
 
 
+def offset_x(p: int, x: int, y: int) -> int:
+    """x minus the floor of the y-side boundary p*y/(4y - p); needs 4y > p.
+
+    Every solution has offset_x >= 1, and offset_x == 1 makes it type I(b).
+    With x and y swapped this is offset_y.
+    """
+    return x - (p * y) // (4 * y - p)
+
+
 @dataclass(frozen=True)
 class Classification:
     """Boundary placement of a solution.
@@ -139,12 +148,12 @@ class Classification:
 
 def classify(t: Triple) -> Classification:
     """Compute both boundary offsets of a solution and set the type flags."""
-    offset_x = t.x - boundary(t.p, t.y).floor()
-    offset_y = t.y - boundary(t.p, t.x).floor()
-    if offset_x < 1 or offset_y < 1:
+    off_x = offset_x(t.p, t.x, t.y)
+    off_y = offset_x(t.p, t.y, t.x)
+    if off_x < 1 or off_y < 1:
         raise AssertionError(f"solution on or below the boundary is impossible: {t}")
-    is_ib = offset_x == 1
-    is_ia = offset_y == 1
+    is_ib = off_x == 1
+    is_ia = off_y == 1
     if is_ia and not is_ib:
         raise AssertionError(f"type I(a) without I(b) contradicts boundary algebra: {t}")
-    return Classification(is_ia=is_ia, is_ib=is_ib, offset_x=offset_x, offset_y=offset_y)
+    return Classification(is_ia=is_ia, is_ib=is_ib, offset_x=off_x, offset_y=off_y)

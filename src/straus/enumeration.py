@@ -8,19 +8,26 @@ checked against it wholesale.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 from .core import Triple, next_boundary
-from .sieve import is_prime
+from .sieve import require_prime
+from .sink import write_to
 
 ORACLE_LIMIT = 10_000
 
+# iter_range_solutions forms values up to 8 * x**2 in int64, and tests at
+# most _BLOCK_CELLS (prime, divisor) pairs per numpy call.
+INT64_XMAX = isqrt((2**63 - 1) // 8)
+_BLOCK_CELLS = 1 << 18
+
 # Smallest-prime-factor table, grown on demand; x never exceeds 3p/4 so this
 # stays desk-sized.  Divisors of x**2 are memoized because the same x recurs
-# across every prime of a range sweep.
+# across every prime of a per-prime sweep.
 _spf: list[int] = []
 _div_sq_cache: dict[int, tuple[int, ...]] = {}
 
@@ -40,10 +47,15 @@ def _ensure_spf(limit: int) -> None:
 
 
 def _divisors_of_square(x: int) -> tuple[int, ...]:
-    """All divisors of x**2, from the factorization of x (unsorted)."""
+    """All divisors of x**2, memoized (unsorted)."""
     cached = _div_sq_cache.get(x)
-    if cached is not None:
-        return cached
+    if cached is None:
+        cached = _div_sq_cache[x] = _square_divisors(x)
+    return cached
+
+
+def _square_divisors(x: int) -> tuple[int, ...]:
+    """All divisors of x**2, from the factorization of x (unsorted)."""
     _ensure_spf(x)
     divs = [1]
     n = x
@@ -55,14 +67,7 @@ def _divisors_of_square(x: int) -> tuple[int, ...]:
             e += 1
         qk = [q**k for k in range(1, 2 * e + 1)]
         divs += [d * f for d in divs for f in qk]
-    result = tuple(divs)
-    _div_sq_cache[x] = result
-    return result
-
-
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    return tuple(divs)
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,7 @@ def enumerate_oracle(p: int) -> SolutionSet:
     boundary while y <= z still holds (y*(4x-p) <= 2px); a cell is a solution
     iff D = 4xy - p(x+y) divides pxy, giving z = pxy/D.
     """
-    _require_prime(p)
+    require_prime(p)
     if p > ORACLE_LIMIT:
         raise ValueError(
             f"p = {p} exceeds the oracle limit {ORACLE_LIMIT}; use enumerate_fast"
@@ -134,7 +139,7 @@ def iter_solutions_fast(p: int) -> Iterator[Triple]:
     <= N are exactly the divisors of x**2 (all below N since x < p) plus
     p*d0 for divisors d0 of x**2 with d0 <= x.
     """
-    _require_prime(p)
+    require_prime(p)
     for x in range(p // 4 + 1, (3 * p) // 4 + 1):
         r = 4 * x - p
         n = p * x
@@ -153,6 +158,54 @@ def iter_solutions_fast(p: int) -> Iterator[Triple]:
                 yield Triple(p, x, y, z)
 
 
+def iter_range_solutions(
+    primes: Sequence[int], x_lo: int = 1, x_hi: int | None = None
+) -> Iterator[Triple]:
+    """Yield the solutions with x in [x_lo, x_hi] of every prime in the
+    ascending list `primes`, ordered by (x, p, y).
+
+    iter_solutions_fast with its loops swapped: the divisors of x**2 are
+    formed once per x-column and tested against all the column's primes
+    (p/4 < x <= 3p/4) in one numpy int64 block.  Since p = 4x (mod r), the
+    tests r | px + d and r | px + dp read r | 4x**2 + d and r | 4x(x + d),
+    whose left sides do not depend on p and stay at most 8 * x**2.  Only
+    the hits return to Python, each checked by Triple.  Needs numpy and
+    x_hi <= INT64_XMAX.
+    """
+    import numpy as np
+
+    if x_hi is None:
+        x_hi = 3 * primes[-1] // 4 if primes else 0
+    if x_hi > INT64_XMAX:
+        raise OverflowError(f"x up to {x_hi} exceeds the int64 kernel bound {INT64_XMAX}")
+    ps = np.array(primes, dtype=np.int64)
+    for x in range(x_lo, x_hi + 1):
+        first = bisect_left(primes, (4 * x + 2) // 3)  # p >= 4x/3
+        stop = bisect_left(primes, 4 * x, first)  # p < 4x
+        if first == stop:
+            continue
+        divs = _square_divisors(x)
+        small = [d for d in divs if d <= x]
+        tests = np.array(
+            [4 * x * x + d for d in divs] + [4 * x * (x + d) for d in small],
+            dtype=np.int64,
+        )
+        width = len(tests)
+        cols = []
+        step = max(1, _BLOCK_CELLS // width)
+        for lo in range(first, stop, step):
+            r = 4 * x - ps[lo : min(lo + step, stop), None]
+            for k in np.flatnonzero(tests % r == 0).tolist():
+                i, j = divmod(k, width)
+                p = primes[lo + i]
+                d = divs[j] if j < len(divs) else p * small[j - len(divs)]
+                if d >= 2 * x * (2 * x - p):  # y >= x
+                    n, q = p * x, 4 * x - p
+                    cols.append((p, (n + d) // q, (n + n * n // d) // q))
+        for p, y, z in sorted(cols):
+            yield Triple(p, x, y, z)
+
+
 def enumerate_fast(p: int) -> SolutionSet:
     """Divisor-pair enumeration; identical set to enumerate_oracle."""
     return SolutionSet(p, tuple(iter_solutions_fast(p)))
@@ -163,7 +216,4 @@ def write_solutions_csv(sets: Iterable[SolutionSet], dest: str | Path | IO[str])
     rows = sorted((s.p, t.x, t.y, t.z) for s in sets for t in s)
     lines = ["p,x,y,z"] + [f"{p},{x},{y},{z}" for (p, x, y, z) in rows]
     text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text)
+    write_to(dest, text)

@@ -17,7 +17,8 @@ from enum import Enum
 from pathlib import Path
 from typing import IO
 
-from .sieve import is_prime
+from .sieve import require_prime
+from .sink import write_to
 
 MAX_CELLS = 4_000_000
 
@@ -92,8 +93,7 @@ class GridImage:
 
 def build_grid(p: int, x_max: int, y_max: int) -> GridImage:
     """Classify every cell in bounds (row-wise, incremental arithmetic)."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    require_prime(p)
     if x_max < 1 or y_max < 1:
         raise ValueError(f"bounds must be >= 1, got ({x_max}, {y_max})")
     if x_max * y_max > MAX_CELLS:
@@ -161,8 +161,4 @@ def render(p: int, x_max: int, y_max: int, fmt: str = "ascii") -> bytes:
 
 
 def write_grid(p: int, x_max: int, y_max: int, fmt: str, dest: str | Path | IO[bytes]) -> None:
-    data = render(p, x_max, y_max, fmt)
-    if hasattr(dest, "write"):
-        dest.write(data)
-    else:
-        Path(dest).write_bytes(data)
+    write_to(dest, render(p, x_max, y_max, fmt))

@@ -106,3 +106,9 @@ def is_prime(n: int) -> bool:
         if n % d == 0:
             return False
     return True
+
+
+def require_prime(p: int) -> None:
+    """Raise ValueError unless p is prime."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")

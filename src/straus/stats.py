@@ -10,13 +10,18 @@ bucketing cannot place at all and stays empty by construction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from math import isqrt
 from pathlib import Path
 from typing import IO
 
-from .enumeration import iter_solutions_fast
+from .core import offset_x
+from .enumeration import INT64_XMAX, iter_range_solutions, iter_solutions_fast
 from .parallel import pmap
 from .sieve import PrimeRange, primes_in
+from .sink import write_to
 
 BUCKETS = (1, 2, 3, 4, 5)
 OVERFLOW = "overflow"
@@ -67,18 +72,61 @@ def _summarize_prime(p: int) -> tuple[int, tuple[int, int, int, int, int], int]:
     buckets = [0, 0, 0, 0, 0]
     n_type_ii = 0
     for t in iter_solutions_fast(p):
-        off = t.x - (p * t.y) // (4 * t.y - p)
+        off = offset_x(p, t.x, t.y)
         buckets[min(off, 5) - 1] += 1
         if off != 1:
             n_type_ii += 1
     return p, tuple(buckets), n_type_ii
 
 
+def _summarize_x_block(primes: list[int], block: tuple[int, int]) -> Counter:
+    """Solution counts keyed by (p, bucket) for the x-columns in block."""
+    return Counter(
+        (t.p, min(offset_x(t.p, t.x, t.y), 5))
+        for t in iter_range_solutions(primes, *block)
+    )
+
+
+def _x_blocks(x_max: int, workers: int) -> list[tuple[int, int]]:
+    """[1, x_max] cut into blocks of about equal work.  A column's cost
+    grows like x, so the k-th of K cuts sits at x_max * sqrt(k / K); eight
+    blocks per worker let the pool even out the rest."""
+    k_blocks = 1 if workers <= 1 else 8 * workers
+    cuts = [isqrt(x_max * x_max * k // k_blocks) for k in range(k_blocks + 1)]
+    return [(a + 1, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def _numpy_importable() -> bool:
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return False
+    return True
+
+
+def _summary_rows(primes: list[int], workers: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """(p, per-bucket counts, type-II count) for each prime, ascending.
+
+    The x-major kernel does the work when numpy is importable and its int64
+    block can hold every value; otherwise each prime is enumerated on its own.
+    """
+    x_max = 3 * primes[-1] // 4 if primes else 0
+    if x_max > INT64_XMAX or not _numpy_importable():
+        return pmap(_summarize_prime, primes, workers)
+    blocks = pmap(partial(_summarize_x_block, primes), _x_blocks(x_max, workers), workers)
+    tally = sum(blocks, Counter())
+    rows = []
+    for p in primes:
+        buckets = tuple(tally[p, i] for i in BUCKETS)
+        rows.append((p, buckets, sum(buckets[1:])))
+    return rows
+
+
 def range_summary(
     r: PrimeRange, workers: int = 1
 ) -> tuple[DistTable, list[PerPrimeProportion]]:
     """Distribution table and per-prime series from a single sweep."""
-    rows = pmap(_summarize_prime, primes_in(r), workers)
+    rows = _summary_rows(primes_in(r), workers)
     counts = dict.fromkeys(BUCKETS, 0)
     series = []
     for p, buckets, n_type_ii in rows:
@@ -115,17 +163,11 @@ def emit_csv(obj: DistTable | list[PerPrimeProportion], dest: str | Path | IO[st
                 f"{row.p},{row.n_solutions},{row.n_type_ii},{row.proportion_ii:.4f}"
             )
     text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text)
+    write_to(dest, text)
 
 
 def emit_gnuplot(table: DistTable, dest: str | Path | IO[str]) -> None:
     """Two-column `i proportion` variant for line plots."""
     lines = [f"{i} {table.proportion(i):.4f}" for i in BUCKETS] if table.total else []
     text = "\n".join(lines) + ("\n" if lines else "")
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text)
+    write_to(dest, text)

@@ -20,10 +20,11 @@ from math import gcd, lcm
 from pathlib import Path
 from typing import IO
 
-from .core import Triple, next_boundary
+from .core import Triple, next_boundary, offset_x
 from .enumeration import iter_solutions_fast
 from .parallel import pmap
-from .sieve import PrimeRange, is_prime, primes_in
+from .sieve import PrimeRange, primes_in, require_prime
+from .sink import write_to
 
 # Pattern threshold: the claims are framed for primes above some p* >= 2521,
 # so exceptions at or below it are expected and only annotated, never fatal.
@@ -48,11 +49,6 @@ def conj3_window(p: int) -> tuple[int, int]:
 def conj5_window(p: int) -> tuple[int, int]:
     """Inclusive x-scan window [ceil(p/4), floor(p/2)]."""
     return (p + 3) // 4, p // 2
-
-
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
 
 
 @dataclass(frozen=True)
@@ -129,7 +125,7 @@ def check_conj5_witness(p: int, x: int) -> bool:
 
 def find_conj3_witness(p: int) -> WitnessReport | None:
     """First y in the window passing the witness predicate, with its triple."""
-    _require_prime(p)
+    require_prime(p)
     lo, hi = conj3_window(p)
     scans = 0
     for y in range(lo, hi + 1):
@@ -145,7 +141,7 @@ def find_conj3_witness(p: int) -> WitnessReport | None:
 
 def find_conj5_witness(p: int) -> WitnessReport | None:
     """First x in the window passing the witness predicate, with its triple."""
-    _require_prime(p)
+    require_prime(p)
     lo, hi = conj5_window(p)
     scans = 0
     for x in range(lo, hi + 1):
@@ -167,7 +163,7 @@ def verify_type_Ia_exists(p: int) -> bool:
     is the only place a type I(a) solution can live, so this is equivalent to
     enumerating and classifying but exits early.
     """
-    _require_prime(p)
+    require_prime(p)
     for x in range(p // 4 + 1, (3 * p) // 4 + 1):
         y = next_boundary(p, x)
         if y < x:
@@ -181,9 +177,9 @@ def verify_type_Ia_exists(p: int) -> bool:
 
 def verify_type_Ib_exists(p: int) -> bool:
     """Does some solution sit one step above the boundary in x?"""
-    _require_prime(p)
+    require_prime(p)
     for t in iter_solutions_fast(p):
-        if t.x - (p * t.y) // (4 * t.y - p) == 1:
+        if offset_x(p, t.x, t.y) == 1:
             return True
     return False
 
@@ -198,7 +194,7 @@ def _pattern_y_report(p: int) -> WitnessReport | None:
     for t in iter_solutions_fast(p):
         scans += 1
         if (
-            t.x - (p * t.y) // (4 * t.y - p) == 1
+            offset_x(p, t.x, t.y) == 1
             and gcd(p, t.y) == 1
             and t.z == p * lcm(t.x, t.y)
         ):
@@ -293,7 +289,4 @@ def write_ledger_csv(ledger: ExceptionLedger, dest: str | Path | IO[str]) -> Non
         f"exceptions={len(ledger.exceptions)} witnesses={len(ledger.witnesses)}"
     )
     text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text)
+    write_to(dest, text)

@@ -135,6 +135,25 @@ class TestGrid:
         assert code == 0
         assert dest.read_bytes().startswith(b"P6\n8 8\n255\n")
 
+    @pytest.mark.parametrize("fmt", ["ascii", "csv", "ppm"])
+    def test_out_file_matches_stdout(self, capsysbinary, tmp_path, fmt):
+        argv = ["grid", "17", "--xmax", "12", "--ymax", "30", "--format", fmt]
+        assert main(argv) == 0
+        stdout = capsysbinary.readouterr().out
+        dest = tmp_path / f"grid.{fmt}"
+        assert main(argv + ["--out", str(dest)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert dest.read_bytes() == stdout
+
+    def test_out_file_renders_once(self, capsys, tmp_path, monkeypatch):
+        from straus import grid
+
+        calls = []
+        build = grid.build_grid
+        monkeypatch.setattr(grid, "build_grid", lambda *a: calls.append(a) or build(*a))
+        run(capsys, "grid", "17", "--out", str(tmp_path / "g.txt"))
+        assert len(calls) == 1
+
 
 class TestDeterminism:
     def test_repeated_runs_identical(self, capsys):

@@ -10,6 +10,7 @@ from straus.core import (
     check_identity,
     classify,
     next_boundary,
+    offset_x,
 )
 from straus.sieve import PrimeRange, primes_in
 
@@ -137,6 +138,13 @@ class TestClassify:
         assert not c.is_ia and not c.is_ib
         assert c.offset_x == 2
         assert c.is_type_ii
+
+    def test_offset_x_is_distance_to_boundary_floor(self):
+        for p in ODD_PRIMES[:40]:
+            for y in range(p // 4 + 1, 2 * p):
+                assert offset_x(p, 1, y) == 1 - boundary(p, y).floor()
+        assert offset_x(71, 20, 284) == 2
+        assert offset_x(71, 284, 20) == classify(Triple(71, 20, 284, 355)).offset_y
 
     def test_labels(self):
         assert classify(Triple(17, 6, 15, 510)).labels() == "I(a)+I(b)"

@@ -1,4 +1,5 @@
 import io
+from collections import defaultdict
 
 import pytest
 
@@ -6,8 +7,10 @@ from straus.core import Triple, check_identity, next_boundary
 from straus.enumeration import (
     ORACLE_LIMIT,
     SolutionSet,
+    INT64_XMAX,
     enumerate_fast,
     enumerate_oracle,
+    iter_range_solutions,
     write_solutions_csv,
 )
 from straus.sieve import PrimeRange, primes_in
@@ -70,6 +73,31 @@ class TestFast:
                 assert p < 4 * t.x <= 3 * p
                 assert t.y >= next_boundary(p, t.x)
                 assert check_identity(p, t.x, t.y, t.z)
+
+
+class TestRangeKernel:
+    def test_equals_fast_for_every_prime_to_2000(self):
+        primes = primes_in(PrimeRange(2, 2000))
+        by_p = defaultdict(list)
+        for t in iter_range_solutions(primes):
+            by_p[t.p].append(t.as_tuple())
+        assert sorted(by_p) == primes
+        for p in primes:
+            assert by_p[p] == enumerate_fast(p).as_tuples(), p
+
+    def test_x_blocks_partition_the_columns(self):
+        primes = primes_in(PrimeRange(2, 600))
+        whole = list(iter_range_solutions(primes))
+        assert whole == [t for lo, hi in ((1, 150), (151, 151), (152, 450))
+                         for t in iter_range_solutions(primes, lo, hi)]
+        assert [t.x for t in whole] == sorted(t.x for t in whole)
+
+    def test_empty_prime_list(self):
+        assert list(iter_range_solutions([])) == []
+
+    def test_refuses_columns_past_int64(self):
+        with pytest.raises(OverflowError):
+            next(iter_range_solutions([2, 3], 1, INT64_XMAX + 1))
 
 
 class TestSolutionSet:

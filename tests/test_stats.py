@@ -1,11 +1,18 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from straus.sieve import PrimeRange
+import straus
+from straus.sieve import PrimeRange, primes_in
 from straus.stats import (
     DistTable,
     PerPrimeProportion,
+    _summarize_prime,
+    _x_blocks,
     distribution,
     emit_csv,
     emit_gnuplot,
@@ -42,6 +49,45 @@ class TestDistribution:
     def test_counts_must_sum(self):
         with pytest.raises(ValueError):
             DistTable(PrimeRange(2, 10), {1: 1, 2: 0, 3: 0, 4: 0, 5: 0}, 0, 5)
+
+
+class TestRangeKernel:
+    WINDOWS = [(2, 2), (3, 3), (1000, 1200), (4001, 4099)]
+
+    @pytest.mark.parametrize("lo, hi", WINDOWS)
+    def test_rows_equal_per_prime_path(self, lo, hi):
+        r = PrimeRange(lo, hi)
+        table, series = range_summary(r)
+        rows = [_summarize_prime(p) for p in primes_in(r)]
+        assert [(s.p, s.n_solutions, s.n_type_ii) for s in series] == [
+            (p, sum(b), n_ii) for p, b, n_ii in rows
+        ]
+        for i in range(5):
+            assert table.counts[i + 1] == sum(b[i] for _, b, _ in rows)
+
+    def test_falls_back_without_numpy(self, monkeypatch):
+        r = PrimeRange(1000, 1200)
+        expected = range_summary(r, workers=1)
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
+        assert range_summary(r, workers=1) == expected
+        assert range_summary(r, workers=2) == expected
+
+    @pytest.mark.parametrize("x_max, workers", [(1, 1), (1, 2), (7, 2), (4500, 1), (4500, 3)])
+    def test_x_blocks_cover_each_column_once(self, x_max, workers):
+        blocks = _x_blocks(x_max, workers)
+        columns = [x for lo, hi in blocks for x in range(lo, hi + 1)]
+        assert columns == list(range(1, x_max + 1))
+
+    def test_x_blocks_balance_work(self):
+        work = [sum(range(lo, hi + 1)) for lo, hi in _x_blocks(4500, 2)]
+        assert len(work) == 16
+        assert max(work) < 1.01 * min(work)
+
+    def test_import_leaves_numpy_unloaded(self):
+        src = Path(straus.__file__).resolve().parent.parent
+        code = "import sys, straus, straus.cli; sys.exit('numpy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestSeries:
