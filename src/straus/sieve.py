@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 
 PRIME_CEILING = 2**40
@@ -33,17 +34,28 @@ class PrimeRange:
             )
 
 
-def _simple_sieve(limit: int) -> list[int]:
-    """All primes <= limit by a plain byte sieve (used for base primes)."""
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
+def _sieve_flags(limit: int) -> bytearray:
+    """flags[n] == 1 exactly when n is prime, for 0 <= n < limit (limit >= 2)."""
+    flags = bytearray([1]) * limit
     flags[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
+    for p in range(2, isqrt(limit - 1) + 1):
         if flags[p]:
             start = p * p
-            flags[start :: p] = b"\x00" * len(range(start, limit + 1, p))
-    return [i for i in range(2, limit + 1) if flags[i]]
+            flags[start :: p] = bytes(len(range(start, limit, p)))
+    return flags
+
+
+# Primality by lookup below _TABLE_LIMIT: _table[n] == 1 iff n is prime, for
+# n < len(_table).  Built on first use (at least 64 KiB) and regrown by powers
+# of two, so it never holds more than _TABLE_LIMIT bytes (4 MiB).
+_TABLE_LIMIT = 1 << 22
+_table = bytearray()
+
+
+def _grow_table(n: int) -> None:
+    """Resieve the table so that it covers n (n < _TABLE_LIMIT)."""
+    global _table
+    _table = _sieve_flags(min(1 << max(n.bit_length(), 16), _TABLE_LIMIT))
 
 
 def primes_in(r: PrimeRange, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[int]:
@@ -54,7 +66,8 @@ def primes_in(r: PrimeRange, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[i
     """
     if segment_size < 2:
         raise ValueError(f"segment_size must be >= 2, got {segment_size}")
-    base = _simple_sieve(isqrt(r.hi))
+    root = isqrt(r.hi)
+    base = list(compress(range(root + 1), _sieve_flags(root + 1)))
     out: list[int] = []
     lo = r.lo
     while lo <= r.hi:
@@ -64,8 +77,8 @@ def primes_in(r: PrimeRange, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[i
             start = max(p * p, ((lo + p - 1) // p) * p)
             if start > hi:
                 continue
-            flags[start - lo :: p] = b"\x00" * len(range(start, hi + 1, p))
-        out.extend(n for n in range(max(lo, 2), hi + 1) if flags[n - lo])
+            flags[start - lo :: p] = bytes(len(range(start, hi + 1, p)))
+        out.extend(compress(range(lo, hi + 1), flags))
         lo = hi + 1
     return out
 
@@ -90,13 +103,17 @@ def _miller_rabin(n: int, bases: tuple[int, ...]) -> bool:
 def is_prime(n: int) -> bool:
     """Deterministic primality test.
 
-    Strong-pseudoprime test with a proven base set below _MR_LIMIT (well past
-    64 bits); plain trial division above, so the answer is never probabilistic.
+    A lookup in the shared sieve table below _TABLE_LIMIT; above it a
+    strong-pseudoprime test with a proven base set below _MR_LIMIT (well past
+    64 bits), and plain trial division beyond, so the answer is never
+    probabilistic.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n < 2:
-        return False
+    if n < _TABLE_LIMIT:
+        if n >= len(_table):
+            _grow_table(n)
+        return _table[n] == 1
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p

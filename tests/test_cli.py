@@ -33,6 +33,12 @@ class TestSolve:
         assert code == 2
         assert "not prime" in err
 
+    def test_envelope_overflow_has_own_status(self, capsys):
+        # p = 150011 is prime; a true solution's p*x*y*z leaves the envelope.
+        code, _, err = run(capsys, "solve", "150011")
+        assert code == 3
+        assert "envelope" in err
+
 
 class TestClassify:
     def test_known_solution(self, capsys):

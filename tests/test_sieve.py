@@ -1,6 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from straus.sieve import PRIME_CEILING, PrimeRange, is_prime, primes_in
+import straus
+from straus import sieve
+from straus.sieve import (
+    _MR_BASES,
+    _SMALL_PRIMES,
+    _TABLE_LIMIT,
+    PRIME_CEILING,
+    PrimeRange,
+    _miller_rabin,
+    is_prime,
+    primes_in,
+)
 
 
 def _trial_division_primes(lo, hi):
@@ -84,3 +100,38 @@ class TestIsPrime:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             is_prime(-7)
+
+
+class TestPrimeTable:
+    def test_agrees_with_trial_division(self):
+        expected = set(_trial_division_primes(2, 19_999))
+        assert {n for n in range(20_000) if is_prime(n)} == expected
+
+    def test_agrees_with_miller_rabin_across_switch(self):
+        for n in range(_TABLE_LIMIT - 511, _TABLE_LIMIT + 512, 2):
+            expected = all(n % p for p in _SMALL_PRIMES) and _miller_rabin(n, _MR_BASES)
+            assert is_prime(n) == expected, n
+
+    def test_strong_pseudoprime_below_cap_rejected(self):
+        # 1373653 is the smallest strong pseudoprime to bases 2 and 3
+        assert 1373653 < _TABLE_LIMIT and _miller_rabin(1373653, (2, 3))
+        assert not is_prime(1373653)
+
+    def test_grows_by_powers_of_two(self, monkeypatch):
+        monkeypatch.setattr(sieve, "_table", bytearray())
+        assert is_prime(100_003)
+        assert len(sieve._table) == 1 << 17
+        assert not is_prime(_TABLE_LIMIT - 1)  # 3 * 23 * 89 * 683
+        assert len(sieve._table) == _TABLE_LIMIT
+
+    def test_bounded_by_cap(self, monkeypatch):
+        monkeypatch.setattr(sieve, "_table", bytearray())
+        assert is_prime(2**22 + 15)
+        assert is_prime(2**61 - 1)
+        assert len(sieve._table) <= 2**22
+
+    def test_import_leaves_table_empty(self):
+        src = Path(straus.__file__).resolve().parent.parent
+        code = "import sys, straus, straus.cli; sys.exit(len(straus.sieve._table) != 0)"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
