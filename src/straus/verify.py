@@ -57,7 +57,8 @@ class WitnessReport:
 
     q = 4*witness - p and m = p*witness mod q; the witness property is that
     q - m divides the witness, which forces the lcm-shaped solution stored in
-    `derived`.  early_exit_scans counts candidates examined before the hit.
+    `derived` (the witness is its y for "conj3-y", its x for "conj5-x").
+    early_exit_scans counts candidates examined before the hit.
     """
 
     p: int
@@ -65,48 +66,59 @@ class WitnessReport:
     witness: int
     m: int
     derived: Triple
-    gcd_ok: bool
     early_exit_scans: int
 
     def __post_init__(self) -> None:
         if self.kind not in ("conj3-y", "conj5-x"):
             raise ValueError(f"unknown witness kind {self.kind!r}")
-        q = 4 * self.witness - self.p
-        if not (0 <= self.m < q):
-            raise ValueError(f"m = {self.m} outside [0, {q})")
         t = self.derived
+        if self.witness != (t.y if self.kind == "conj3-y" else t.x):
+            raise ValueError(f"{self.kind} witness {self.witness} is not a coordinate of {t}")
+        q = 4 * self.witness - self.p
+        if q <= 0 or self.m != self.p * self.witness % q:
+            raise ValueError(f"m = {self.m} is not p*witness mod (4*witness - p)")
         if t.z != self.p * lcm(t.x, t.y):
             raise ValueError(f"derived triple {t} is not lcm-shaped")
         if self.early_exit_scans < 1:
             raise ValueError("a found witness was scanned at least once")
 
 
-def witness_divisibility_y(p: int, y: int) -> bool:
-    """Core y-side witness predicate: gcd(p,y)=1, m != 0, (q - m) | y.
+def _lcm_partner(p: int, a: int) -> int | None:
+    """b = ceil(pa/q), q = 4a - p > 0, if (a, b, p*lcm(a, b)) is a solution, else None.
 
-    q - m equals 4xy - p(x+y) for x = ceil(py/q), so together with the gcd
-    condition it says exactly that (x, y, p*lcm(x, y)) solves the identity.
+    Proof: with z = p*lcm(a, b) the identity reads qb - pa = 4ab - p(a+b) = g
+    for g = gcd(a, b).  For m = pa mod q = 0, qb - pa = 0; otherwise it is
+    q - m, a multiple of g, which divides both a and b only by being g.
     """
-    q = 4 * y - p
-    if q <= 0 or gcd(p, y) != 1:
-        return False
-    m = (p * y) % q
-    return m != 0 and y % (q - m) == 0
+    q = 4 * a - p
+    if q <= 0:
+        return None
+    m = p * a % q
+    if m == 0 or a % (q - m):
+        return None
+    b = p * a // q + 1
+    return None if b % (q - m) else b
+
+
+def witness_divisibility_y(p: int, y: int) -> bool:
+    """y-side witness predicate: gcd(p, y) = 1, m != 0 and q - m divides y.
+
+    Given gcd(p, y) = 1, q - m dividing y makes it divide the partner too.
+    """
+    return gcd(p, y) == 1 and _lcm_partner(p, y) is not None
 
 
 def witness_divisibility_x(p: int, x: int) -> bool:
-    """Core x-side witness predicate: gcd(p, ceil(px/q))=1, m != 0, (q-m) | x."""
-    q = 4 * x - p
-    if q <= 0:
-        return False
-    m = (p * x) % q
-    if m == 0 or x % (q - m) != 0:
-        return False
-    return gcd(p, (p * x + q - 1) // q) == 1
+    """x-side witness predicate: y = ceil(px/q) is an lcm partner of x and gcd(p, y) = 1.
+
+    For prime p and x < p this is m != 0, q - m dividing x and gcd(p, y) = 1.
+    """
+    return (y := _lcm_partner(p, x)) is not None and gcd(p, y) == 1
 
 
 def check_conj3_witness(p: int, y: int) -> bool:
     """Witness predicate for y restricted to the conjectured scan window."""
+    require_prime(p)
     lo, hi = conj3_window(p)
     if not lo <= y <= hi:
         raise ValueError(f"y = {y} outside the witness window [{lo}, {hi}] for p = {p}")
@@ -115,45 +127,38 @@ def check_conj3_witness(p: int, y: int) -> bool:
 
 def check_conj5_witness(p: int, x: int) -> bool:
     """Witness predicate for x restricted to the conjectured scan window."""
+    require_prime(p)
     lo, hi = conj5_window(p)
     if not lo <= x <= hi:
         raise ValueError(f"x = {x} outside the witness window [{lo}, {hi}] for p = {p}")
-    if 4 * x - p <= 0:
-        raise ValueError(f"x = {x} at or below the pole for p = {p}")
     return witness_divisibility_x(p, x)
+
+
+def _scan_window(p: int, kind: str, lo: int, hi: int) -> WitnessReport | None:
+    """First a in [lo, hi] with an lcm partner, reported with its triple.
+
+    p is prime, and a solution (a, b, p*lcm(a, b)) has p dividing neither a
+    nor b, so the gcd clauses of both witness predicates hold by themselves.
+    """
+    for a in range(lo, hi + 1):
+        b = _lcm_partner(p, a)
+        if b is not None:
+            x, y = sorted((a, b))
+            derived = Triple(p, x, y, p * lcm(x, y))
+            return WitnessReport(p, kind, a, p * a % (4 * a - p), derived, a - lo + 1)
+    return None
 
 
 def find_conj3_witness(p: int) -> WitnessReport | None:
     """First y in the window passing the witness predicate, with its triple."""
     require_prime(p)
-    lo, hi = conj3_window(p)
-    scans = 0
-    for y in range(lo, hi + 1):
-        scans += 1
-        q = 4 * y - p
-        m = (p * y) % q
-        if m and y % (q - m) == 0 and gcd(p, y) == 1:
-            x = (p * y + q - 1) // q
-            derived = Triple(p, x, y, p * lcm(x, y))
-            return WitnessReport(p, "conj3-y", y, m, derived, True, scans)
-    return None
+    return _scan_window(p, "conj3-y", *conj3_window(p))
 
 
 def find_conj5_witness(p: int) -> WitnessReport | None:
     """First x in the window passing the witness predicate, with its triple."""
     require_prime(p)
-    lo, hi = conj5_window(p)
-    scans = 0
-    for x in range(lo, hi + 1):
-        scans += 1
-        q = 4 * x - p
-        m = (p * x) % q
-        if m and x % (q - m) == 0:
-            y = (p * x + q - 1) // q
-            if gcd(p, y) == 1:
-                derived = Triple(p, x, y, p * lcm(x, y))
-                return WitnessReport(p, "conj5-x", x, m, derived, True, scans)
-    return None
+    return _scan_window(p, "conj5-x", *conj5_window(p))
 
 
 def verify_type_Ia_exists(p: int) -> bool:
@@ -190,42 +195,20 @@ def _pattern_y_report(p: int) -> WitnessReport | None:
     Unlike find_conj3_witness this is not window-bounded: it quantifies over
     actual solutions, which is the form the whole-range claim takes.
     """
-    scans = 0
-    for t in iter_solutions_fast(p):
-        scans += 1
-        if (
-            offset_x(p, t.x, t.y) == 1
-            and gcd(p, t.y) == 1
-            and t.z == p * lcm(t.x, t.y)
-        ):
-            m = (p * t.y) % (4 * t.y - p)
-            return WitnessReport(p, "conj3-y", t.y, m, t, True, scans)
+    for scans, t in enumerate(iter_solutions_fast(p), 1):
+        if gcd(p, t.y) == 1 and _lcm_partner(p, t.y) == t.x:
+            return WitnessReport(p, "conj3-y", t.y, p * t.y % (4 * t.y - p), t, scans)
     return None
 
 
-# Per-prime checkers, top level so sweeps can fork.
-
-def _check_conj1(p: int, store: bool) -> tuple[int, bool, WitnessReport | None]:
-    return p, verify_type_Ia_exists(p), None
-
-def _check_conj2(p: int, store: bool) -> tuple[int, bool, WitnessReport | None]:
-    return p, verify_type_Ib_exists(p), None
-
-def _check_conj3_pattern(p: int, store: bool) -> tuple[int, bool, WitnessReport | None]:
-    report = _pattern_y_report(p)
+def _check_claim(claim: str, store: bool, p: int) -> tuple[int, bool, WitnessReport | None]:
+    """(p, does the claim hold at p, stored witness); top level so sweeps can fork."""
+    if claim == "conj1":
+        return p, verify_type_Ia_exists(p), None
+    if claim == "conj2":
+        return p, verify_type_Ib_exists(p), None
+    report = _pattern_y_report(p) if claim == "conj3-pattern" else find_conj5_witness(p)
     return p, report is not None, report if store else None
-
-def _check_conj5_pattern(p: int, store: bool) -> tuple[int, bool, WitnessReport | None]:
-    report = find_conj5_witness(p)
-    return p, report is not None, report if store else None
-
-
-_CLAIM_CHECKS = {
-    "conj1": _check_conj1,
-    "conj2": _check_conj2,
-    "conj3-pattern": _check_conj3_pattern,
-    "conj5-pattern": _check_conj5_pattern,
-}
 
 
 @dataclass(frozen=True)
@@ -243,8 +226,7 @@ class ExceptionLedger:
 
     def recheck(self) -> bool:
         """Re-verify on demand that every listed exception still fails."""
-        check = _CLAIM_CHECKS[self.claim]
-        return all(not check(p, False)[1] for p in self.exceptions)
+        return all(not _check_claim(self.claim, False, p)[1] for p in self.exceptions)
 
 
 def sweep(
@@ -258,7 +240,7 @@ def sweep(
     Partitioning across workers never changes the result; the ledger merge is
     a plain ordered concatenation.
     """
-    if claim not in _CLAIM_CHECKS:
+    if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
     ceiling = CLAIM_CEILINGS[claim]
     if r.hi > ceiling:
@@ -266,8 +248,7 @@ def sweep(
             f"range [{r.lo}, {r.hi}] exceeds the {claim} desk-scale ceiling "
             f"{ceiling}; try [{r.lo}, {ceiling}] and sweep the rest separately"
         )
-    check = partial(_CLAIM_CHECKS[claim], store=store_witnesses)
-    results = pmap(check, primes_in(r), workers)
+    results = pmap(partial(_check_claim, claim, store_witnesses), primes_in(r), workers)
     exceptions = tuple(p for (p, ok, _w) in results if not ok)
     witnesses = tuple(w for (_p, _ok, w) in results if w is not None)
     return ExceptionLedger(claim, r, exceptions, witnesses)

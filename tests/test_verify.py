@@ -1,14 +1,15 @@
 import io
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
-from straus.core import Triple, classify
+from straus.core import Triple, check_identity, classify, offset_x
 from straus.enumeration import enumerate_fast
 from straus.sieve import PrimeRange, primes_in
 from straus.verify import (
     ExceptionLedger,
     WitnessReport,
+    _pattern_y_report,
     check_conj3_witness,
     check_conj5_witness,
     conj3_window,
@@ -18,6 +19,7 @@ from straus.verify import (
     sweep,
     verify_type_Ia_exists,
     verify_type_Ib_exists,
+    witness_divisibility_x,
     write_ledger_csv,
 )
 
@@ -39,6 +41,10 @@ class TestConj3Witness:
             check_conj3_witness(13, 5)  # below ceil(13/2) = 7
         with pytest.raises(ValueError):
             check_conj3_witness(13, 35)  # above floor(13*16/6) = 34
+
+    def test_check_rejects_composite(self):
+        with pytest.raises(ValueError, match="not prime"):
+            check_conj3_witness(9, 5)  # 5 lies in the window [5, 18]
 
     def test_find_17(self):
         report = find_conj3_witness(17)
@@ -83,6 +89,15 @@ class TestConj5Witness:
         with pytest.raises(ValueError):
             check_conj5_witness(13, 3)
 
+    def test_check_rejects_composite(self):
+        with pytest.raises(ValueError, match="not prime"):
+            check_conj5_witness(15, 4)  # 4 lies in the window [4, 7]
+
+    def test_predicate_needs_an_actual_solution(self):
+        # q - m = 2 divides 4 and gcd(10, 7) = 1, yet (4, 7, 10*lcm(4, 7)) fails
+        assert not check_identity(10, 4, 7, 280)
+        assert not witness_divisibility_x(10, 4)
+
     def test_find_13(self):
         report = find_conj5_witness(13)
         assert report.witness == 4
@@ -105,17 +120,71 @@ class TestWitnessReport:
     def test_rejects_bad_kind(self):
         t = Triple(13, 4, 18, 468)
         with pytest.raises(ValueError):
-            WitnessReport(13, "conj7-w", 4, 1, t, True, 1)
+            WitnessReport(13, "conj7-w", 4, 1, t, 1)
 
     def test_rejects_non_lcm_triple(self):
         t = Triple(17, 5, 34, 170)  # 170 != 17*lcm(5, 34)
         with pytest.raises(ValueError):
-            WitnessReport(17, "conj3-y", 34, (17 * 34) % (4 * 34 - 17), t, True, 1)
+            WitnessReport(17, "conj3-y", 34, (17 * 34) % (4 * 34 - 17), t, 1)
 
     def test_rejects_m_out_of_range(self):
         t = Triple(13, 4, 18, 468)
         with pytest.raises(ValueError):
-            WitnessReport(13, "conj5-x", 4, 99, t, True, 1)
+            WitnessReport(13, "conj5-x", 4, 99, t, 1)
+
+    def test_rejects_m_inside_range_but_wrong(self):
+        t = Triple(13, 4, 18, 468)
+        with pytest.raises(ValueError):
+            WitnessReport(13, "conj5-x", 4, 2, t, 1)  # m = 13*4 mod 3 = 1
+
+    def test_rejects_witness_that_is_not_the_kinds_coordinate(self):
+        t = Triple(13, 4, 18, 468)
+        with pytest.raises(ValueError):
+            WitnessReport(13, "conj3-y", 4, 1, t, 1)  # conj3-y witnesses y = 18
+        assert WitnessReport(13, "conj5-x", 4, 1, t, 1).witness == 4
+
+
+def _brute_window_scan(p, kind, lo, hi):
+    """The witness definition spelled out: the first a in [lo, hi] whose
+    partner b = ceil(pa/(4a - p)) gives a solution (x, y, p*lcm(x, y)) with
+    gcd(p, y) = 1."""
+    for scans, a in enumerate(range(lo, hi + 1), 1):
+        q = 4 * a - p
+        b = -(-p * a // q)
+        x, y = (b, a) if kind == "conj3-y" else (a, b)
+        z = p * lcm(x, y)
+        if gcd(p, y) == 1 and check_identity(p, x, y, z):
+            return a, p * a % q, (x, y, z), scans
+    return None
+
+
+def _summary(report):
+    if report is None:
+        return None
+    return report.witness, report.m, report.derived.as_tuple(), report.early_exit_scans
+
+
+class TestAgainstDefinitions:
+    def test_window_scans_match_brute_force_to_3000(self):
+        for p in primes_in(PrimeRange(2, 3000)):
+            assert _summary(find_conj3_witness(p)) == _brute_window_scan(
+                p, "conj3-y", *conj3_window(p)), p
+            assert _summary(find_conj5_witness(p)) == _brute_window_scan(
+                p, "conj5-x", *conj5_window(p)), p
+
+    def test_pattern_report_matches_three_clause_definition_to_2000(self):
+        for p in primes_in(PrimeRange(2, 2000)):
+            expected = next(
+                (
+                    (t.y, p * t.y % (4 * t.y - p), t.as_tuple(), scans)
+                    for scans, t in enumerate(enumerate_fast(p).triples, 1)
+                    if offset_x(p, t.x, t.y) == 1
+                    and gcd(p, t.y) == 1
+                    and t.z == p * lcm(t.x, t.y)
+                ),
+                None,
+            )
+            assert _summary(_pattern_y_report(p)) == expected, p
 
 
 class TestTypeExistence:
