@@ -26,10 +26,8 @@ INT64_XMAX = isqrt((2**63 - 1) // 8)
 _BLOCK_CELLS = 1 << 18
 
 # Smallest-prime-factor table, grown on demand; x never exceeds 3p/4 so this
-# stays desk-sized.  Divisors of x**2 are memoized because the same x recurs
-# across every prime of a per-prime sweep.
+# stays desk-sized.
 _spf: list[int] = []
-_div_sq_cache: dict[int, tuple[int, ...]] = {}
 
 
 def _ensure_spf(limit: int) -> None:
@@ -44,14 +42,6 @@ def _ensure_spf(limit: int) -> None:
                 if spf[j] == j:
                     spf[j] = i
     _spf = spf
-
-
-def _divisors_of_square(x: int) -> tuple[int, ...]:
-    """All divisors of x**2, memoized (unsorted)."""
-    cached = _div_sq_cache.get(x)
-    if cached is None:
-        cached = _div_sq_cache[x] = _square_divisors(x)
-    return cached
 
 
 def _square_divisors(x: int) -> tuple[int, ...]:
@@ -145,7 +135,7 @@ def iter_solutions_fast(p: int) -> Iterator[Triple]:
         n = p * x
         dmin = 2 * x * (2 * x - p)  # d >= dmin <=> y >= x
         hits = []
-        for d in _divisors_of_square(x):
+        for d in _square_divisors(x):
             if d >= dmin and (n + d) % r == 0:
                 hits.append(d)
             dp = d * p
@@ -166,19 +156,23 @@ def iter_range_solutions(
 
     iter_solutions_fast with its loops swapped: the divisors of x**2 are
     formed once per x-column and tested against all the column's primes
-    (p/4 < x <= 3p/4) in one numpy int64 block.  Since p = 4x (mod r), the
-    tests r | px + d and r | px + dp read r | 4x**2 + d and r | 4x(x + d),
-    whose left sides do not depend on p and stay at most 8 * x**2.  Only
-    the hits return to Python, each checked by Triple.  Needs numpy and
-    x_hi <= INT64_XMAX.
+    (p/4 < x <= 3p/4) in one block.  Since p = 4x (mod r), the tests
+    r | px + d and r | px + dp read r | 4x**2 + d and r | 4x(x + d), whose
+    left sides do not depend on p and stay at most 8 * x**2, so they fit
+    int64 while x_hi <= INT64_XMAX.  numpy, when importable, runs each
+    block's divisibility test as one vector operation; without it the same
+    test runs in plain Python.  Only the hits go on, each checked by Triple.
     """
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError:
+        np = None
 
     if x_hi is None:
         x_hi = 3 * primes[-1] // 4 if primes else 0
     if x_hi > INT64_XMAX:
         raise OverflowError(f"x up to {x_hi} exceeds the int64 kernel bound {INT64_XMAX}")
-    ps = np.array(primes, dtype=np.int64)
+    ps = np.array(primes, dtype=np.int64) if np else None
     for x in range(x_lo, x_hi + 1):
         first = bisect_left(primes, (4 * x + 2) // 3)  # p >= 4x/3
         stop = bisect_left(primes, 4 * x, first)  # p < 4x
@@ -186,16 +180,20 @@ def iter_range_solutions(
             continue
         divs = _square_divisors(x)
         small = [d for d in divs if d <= x]
-        tests = np.array(
-            [4 * x * x + d for d in divs] + [4 * x * (x + d) for d in small],
-            dtype=np.int64,
-        )
+        tests = [4 * x * x + d for d in divs] + [4 * x * (x + d) for d in small]
         width = len(tests)
+        if np:
+            tests = np.array(tests, dtype=np.int64)
         cols = []
         step = max(1, _BLOCK_CELLS // width)
         for lo in range(first, stop, step):
-            r = 4 * x - ps[lo : min(lo + step, stop), None]
-            for k in np.flatnonzero(tests % r == 0).tolist():
+            hi = min(lo + step, stop)
+            if np:
+                hits = np.flatnonzero(tests % (4 * x - ps[lo:hi, None]) == 0).tolist()
+            else:
+                hits = [i * width + j for i, r in enumerate(4 * x - p for p in primes[lo:hi])
+                        for j, t in enumerate(tests) if not t % r]
+            for k in hits:
                 i, j = divmod(k, width)
                 p = primes[lo + i]
                 d = divs[j] if j < len(divs) else p * small[j - len(divs)]

@@ -101,15 +101,16 @@ def _miller_rabin(n: int, bases: tuple[int, ...]) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test.
+    """Deterministic primality test for 0 <= n < _MR_LIMIT (about 3.3e24).
 
     A lookup in the shared sieve table below _TABLE_LIMIT; above it a
-    strong-pseudoprime test with a proven base set below _MR_LIMIT (well past
-    64 bits), and plain trial division beyond, so the answer is never
-    probabilistic.
+    strong-pseudoprime test with a base set proven for every n < _MR_LIMIT,
+    so the answer is never probabilistic.  Larger n raise ValueError.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    if n >= _MR_LIMIT:
+        raise ValueError(f"n = {n} is past the proven primality range (n < {_MR_LIMIT})")
     if n < _TABLE_LIMIT:
         if n >= len(_table):
             _grow_table(n)
@@ -117,12 +118,7 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    if n < _MR_LIMIT:
-        return _miller_rabin(n, _MR_BASES)
-    for d in range(41, isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True
+    return _miller_rabin(n, _MR_BASES)
 
 
 def require_prime(p: int) -> None:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import IO
 
 from .core import offset_x
-from .enumeration import INT64_XMAX, iter_range_solutions, iter_solutions_fast
+from .enumeration import INT64_XMAX, iter_range_solutions
 from .parallel import pmap
 from .sieve import PrimeRange, primes_in
 from .sink import write_to
@@ -67,18 +67,6 @@ class DistTable:
         return self.counts[i] / self.total
 
 
-def _summarize_prime(p: int) -> tuple[int, tuple[int, int, int, int, int], int]:
-    """(p, per-bucket counts, type-II count) from one enumeration pass."""
-    buckets = [0, 0, 0, 0, 0]
-    n_type_ii = 0
-    for t in iter_solutions_fast(p):
-        off = offset_x(p, t.x, t.y)
-        buckets[min(off, 5) - 1] += 1
-        if off != 1:
-            n_type_ii += 1
-    return p, tuple(buckets), n_type_ii
-
-
 def _summarize_x_block(primes: list[int], block: tuple[int, int]) -> Counter:
     """Solution counts keyed by (p, bucket) for the x-columns in block."""
     return Counter(
@@ -96,23 +84,9 @@ def _x_blocks(x_max: int, workers: int) -> list[tuple[int, int]]:
     return [(a + 1, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
-def _numpy_importable() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 def _summary_rows(primes: list[int], workers: int) -> list[tuple[int, tuple[int, ...], int]]:
-    """(p, per-bucket counts, type-II count) for each prime, ascending.
-
-    The x-major kernel does the work when numpy is importable and its int64
-    block can hold every value; otherwise each prime is enumerated on its own.
-    """
+    """(p, per-bucket counts, type-II count) for each prime, ascending."""
     x_max = 3 * primes[-1] // 4 if primes else 0
-    if x_max > INT64_XMAX or not _numpy_importable():
-        return pmap(_summarize_prime, primes, workers)
     blocks = pmap(partial(_summarize_x_block, primes), _x_blocks(x_max, workers), workers)
     tally = sum(blocks, Counter())
     rows = []
@@ -125,7 +99,16 @@ def _summary_rows(primes: list[int], workers: int) -> list[tuple[int, tuple[int,
 def range_summary(
     r: PrimeRange, workers: int = 1
 ) -> tuple[DistTable, list[PerPrimeProportion]]:
-    """Distribution table and per-prime series from a single sweep."""
+    """Distribution table and per-prime series from a single sweep.
+
+    Refuses, before sieving, a range whose x-columns (x <= 3p/4) pass the
+    kernel's int64 bound INT64_XMAX, i.e. r.hi above about 1.43 * 10**9.
+    """
+    if 3 * r.hi // 4 > INT64_XMAX:
+        raise ValueError(
+            f"hi = {r.hi} puts x past the int64 kernel bound {INT64_XMAX} "
+            f"(stats covers hi up to {(4 * INT64_XMAX + 3) // 3})"
+        )
     rows = _summary_rows(primes_in(r), workers)
     counts = dict.fromkeys(BUCKETS, 0)
     series = []

@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
 from straus.cli import main
+from straus.enumeration import INT64_XMAX
 
 
 def run(capsys, *argv):
@@ -32,6 +35,13 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "16")
         assert code == 2
         assert "not prime" in err
+
+    def test_past_proven_primality_range_is_usage_error(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "solve", str(2**89 - 1))  # Mersenne prime
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "proven primality range" in err
 
     def test_envelope_overflow_has_own_status(self, capsys):
         # p = 150011 is prime; a true solution's p*x*y*z leaves the envelope.
@@ -96,6 +106,13 @@ class TestStats:
         assert code == 0
         assert "1,4,1.0000" in out
         assert series.read_text().splitlines()[1] == "17,4,0,0.0000"
+
+    def test_past_int64_bound_is_usage_error(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "stats", "--from", "1500000000", "--to", "1500000100")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert f"int64 kernel bound {INT64_XMAX}" in err
 
 
 class TestConstructAndWitness:

@@ -1,4 +1,5 @@
 import io
+import sys
 from collections import defaultdict
 
 import pytest
@@ -76,7 +77,10 @@ class TestFast:
 
 
 class TestRangeKernel:
-    def test_equals_fast_for_every_prime_to_2000(self):
+    @pytest.mark.parametrize("numpy_absent", [False, True], ids=["numpy", "no-numpy"])
+    def test_equals_fast_for_every_prime_to_2000(self, numpy_absent, monkeypatch):
+        if numpy_absent:
+            monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
         primes = primes_in(PrimeRange(2, 2000))
         by_p = defaultdict(list)
         for t in iter_range_solutions(primes):

@@ -9,6 +9,7 @@ import straus
 from straus import sieve
 from straus.sieve import (
     _MR_BASES,
+    _MR_LIMIT,
     _SMALL_PRIMES,
     _TABLE_LIMIT,
     PRIME_CEILING,
@@ -100,6 +101,11 @@ class TestIsPrime:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             is_prime(-7)
+
+    def test_rejects_past_proven_range(self):
+        assert not is_prime(_MR_LIMIT - 2)  # 17 divides it
+        with pytest.raises(ValueError, match="proven primality range"):
+            is_prime(_MR_LIMIT)
 
 
 class TestPrimeTable:

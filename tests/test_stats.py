@@ -2,16 +2,19 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import straus
+from straus import enumeration
+from straus.core import offset_x
+from straus.enumeration import enumerate_fast
 from straus.sieve import PrimeRange, primes_in
 from straus.stats import (
     DistTable,
     PerPrimeProportion,
-    _summarize_prime,
     _x_blocks,
     distribution,
     emit_csv,
@@ -58,7 +61,12 @@ class TestRangeKernel:
     def test_rows_equal_per_prime_path(self, lo, hi):
         r = PrimeRange(lo, hi)
         table, series = range_summary(r)
-        rows = [_summarize_prime(p) for p in primes_in(r)]
+        rows = []
+        for p in primes_in(r):
+            buckets = [0] * 5
+            for t in enumerate_fast(p):
+                buckets[min(offset_x(p, t.x, t.y), 5) - 1] += 1
+            rows.append((p, buckets, sum(buckets[1:])))
         assert [(s.p, s.n_solutions, s.n_type_ii) for s in series] == [
             (p, sum(b), n_ii) for p, b, n_ii in rows
         ]
@@ -71,6 +79,22 @@ class TestRangeKernel:
         monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
         assert range_summary(r, workers=1) == expected
         assert range_summary(r, workers=2) == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_refuses_ranges_past_int64_before_sieving(self, workers, monkeypatch):
+        monkeypatch.setattr(enumeration, "_spf", [])
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="int64 kernel bound"):
+            range_summary(PrimeRange(1_500_000_000, 1_500_000_100), workers=workers)
+        assert time.perf_counter() - start < 1.0
+        assert enumeration._spf == []
+
+    def test_refusal_starts_right_past_the_bound(self):
+        last = 1_431_655_765  # 3 * last // 4 == INT64_XMAX; last is 5 * 286331153
+        assert 3 * last // 4 == enumeration.INT64_XMAX
+        assert distribution(PrimeRange(last, last)).total == 0
+        with pytest.raises(ValueError):
+            range_summary(PrimeRange(last + 1, last + 1))
 
     @pytest.mark.parametrize("x_max, workers", [(1, 1), (1, 2), (7, 2), (4500, 1), (4500, 3)])
     def test_x_blocks_cover_each_column_once(self, x_max, workers):
