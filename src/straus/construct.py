@@ -9,7 +9,7 @@ primes before the set is accepted.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -81,18 +81,26 @@ class ResidueRule:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """An ordered, duplicate-free collection of rules with a provenance tag."""
+    """An ordered, duplicate-free collection of rules with a provenance tag.
+
+    _by_modulus indexes the rules as (modulus, {residue: rule}) pairs, largest
+    modulus first, so match_rule does one lookup per distinct modulus.
+    """
 
     provenance: str
     rules: tuple[ResidueRule, ...]
+    _by_modulus: tuple[tuple[int, dict[int, ResidueRule]], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
-        seen = set()
+        index: dict[int, dict[int, ResidueRule]] = {}
         for rule in self.rules:
-            key = (rule.modulus, rule.residue)
-            if key in seen:
+            classes = index.setdefault(rule.modulus, {})
+            if rule.residue in classes:
                 raise ValueError(f"duplicate rule class {rule.label()}")
-            seen.add(key)
+            classes[rule.residue] = rule
+        object.__setattr__(self, "_by_modulus", tuple(sorted(index.items(), reverse=True)))
 
 
 def _sample_primes(modulus: int, residue: int, count: int) -> list[int]:
@@ -169,11 +177,11 @@ def match_rule(rs: RuleSet, p: int) -> ResidueRule | None:
     Larger moduli win so that finer residue classes refine coarser ones when
     classes nest.
     """
-    best = None
-    for rule in rs.rules:
-        if rule.matches(p) and (best is None or rule.modulus > best.modulus):
-            best = rule
-    return best
+    for modulus, classes in rs._by_modulus:
+        rule = classes.get(p % modulus)
+        if rule is not None:
+            return rule
+    return None
 
 
 def construct_solution(rule: ResidueRule, p: int) -> Triple:

@@ -9,7 +9,9 @@ Four claims are sweepable:
   conj5-pattern the same shape found through the x-side witness scan
 
 A sweep returns an exception ledger: the primes in range for which the claim
-fails, plus (optionally) the first witness per passing prime.
+fails, plus (optionally) the first witness per passing prime.  conj2 and
+conj3-pattern first try the solution their rule table builds for the prime
+(_certified); only the primes the table misses are enumerated.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from math import gcd, lcm
 from pathlib import Path
 from typing import IO
 
+from .construct import RuleViolationError, load_rules, match_rule
 from .core import Triple, next_boundary, offset_x
 from .enumeration import iter_solutions_fast
 from .parallel import pmap
@@ -40,6 +43,10 @@ CLAIM_CEILINGS = {
     "conj3-pattern": 1_000_000,
     "conj5-pattern": 10_000_000,
 }
+
+
+# The rule table that builds each claim's solution shape from p's residue class.
+_CLAIM_RULES = {"conj2": "theorem5", "conj3-pattern": "conjecture3-table"}
 
 
 def conj3_window(p: int) -> tuple[int, int]:
@@ -201,12 +208,54 @@ def _pattern_y_report(p: int) -> WitnessReport | None:
     return None
 
 
+def _certified(claim: str, p: int) -> bool:
+    """Does the claim's rule table give p a solution of the claimed shape?
+
+    The matched rule's y gives x = floor(py/(4y - p)) + 1 and z = pxy/d,
+    d = 4xy - p(x + y), for conj2 (type I(b) by construction), or x = the lcm
+    partner of y and z = p*lcm(x, y) for conj3-pattern.  The table is not
+    trusted: a rule that breaks its promise gives False, and the solution is
+    checked with exact integers (no Triple, so z ~ p**4 meets no envelope).
+
+    d > 0 because x > py/(4y - p), and with z = floor(pxy/d) the identity
+    holds only if d divides pxy.  gcd(p, y) = 1 needs no test either: an lcm
+    partner of y never exists when the prime p divides y (see _scan_window).
+    """
+    require_prime(p)
+    rule = match_rule(load_rules(_CLAIM_RULES[claim]), p)
+    if rule is None:
+        return False
+    try:
+        y = rule.evaluate(p)
+    except RuleViolationError:
+        return False
+    q = 4 * y - p
+    if q <= 0:
+        return False
+    if claim == "conj2":
+        x = p * y // q + 1
+        z = p * x * y // (4 * x * y - p * (x + y))
+    else:
+        x = _lcm_partner(p, y)
+        if x is None:
+            return False
+        z = p * lcm(x, y)
+    return x <= y <= z and 4 * x * y * z == p * (x * y + y * z + z * x)
+
+
 def _check_claim(claim: str, store: bool, p: int) -> tuple[int, bool, WitnessReport | None]:
-    """(p, does the claim hold at p, stored witness); top level so sweeps can fork."""
+    """(p, does the claim hold at p, stored witness); top level so sweeps can fork.
+
+    conj2 and conj3-pattern try the rule certificate first and enumerate only
+    when it fails; a stored conj3 witness is still the first solution in
+    (x, y) order, so that path always enumerates.
+    """
     if claim == "conj1":
         return p, verify_type_Ia_exists(p), None
     if claim == "conj2":
-        return p, verify_type_Ib_exists(p), None
+        return p, _certified(claim, p) or verify_type_Ib_exists(p), None
+    if claim == "conj3-pattern" and not store and _certified(claim, p):
+        return p, True, None
     report = _pattern_y_report(p) if claim == "conj3-pattern" else find_conj5_witness(p)
     return p, report is not None, report if store else None
 
@@ -248,6 +297,8 @@ def sweep(
             f"range [{r.lo}, {r.hi}] exceeds the {claim} desk-scale ceiling "
             f"{ceiling}; try [{r.lo}, {ceiling}] and sweep the rest separately"
         )
+    if claim in _CLAIM_RULES:
+        load_rules(_CLAIM_RULES[claim])  # validate once; forked workers inherit it
     results = pmap(partial(_check_claim, claim, store_witnesses), primes_in(r), workers)
     exceptions = tuple(p for (p, ok, _w) in results if not ok)
     witnesses = tuple(w for (_p, _ok, w) in results if w is not None)

@@ -20,6 +20,7 @@ from straus.verify import witness_divisibility_y
 
 THEOREM5 = load_rules("theorem5")
 WITNESS_TABLE = load_rules("conjecture3-table")
+NESTED = RuleSet("custom", (ResidueRule(4, 1, 0, 3, 0, 1), ResidueRule(8, 5, 1, 3, 0, 8)))
 
 
 class TestRuleFiles:
@@ -75,12 +76,17 @@ class TestMatchRule:
         assert match_rule(THEOREM5, 2521) is None
 
     def test_most_specific_modulus_wins(self):
-        rs = RuleSet(
-            "custom",
-            (ResidueRule(4, 1, 0, 3, 0, 1), ResidueRule(8, 5, 1, 3, 0, 8)),
-        )
-        assert match_rule(rs, 13).modulus == 8
-        assert match_rule(rs, 17).modulus == 4
+        assert match_rule(NESTED, 13).modulus == 8
+        assert match_rule(NESTED, 17).modulus == 4
+
+    @pytest.mark.parametrize(
+        "rs", [THEOREM5, WITNESS_TABLE, NESTED], ids=["theorem5", "conjecture3", "nested"]
+    )
+    def test_index_equals_linear_max_modulus_scan(self, rs):
+        for n in range(100_001):
+            matching = [r for r in rs.rules if n % r.modulus == r.residue]
+            expected = max(matching, key=lambda r: r.modulus, default=None)
+            assert match_rule(rs, n) is expected, n
 
 
 class TestConstructSolution:

@@ -3,12 +3,16 @@ from math import gcd, lcm
 
 import pytest
 
-from straus.core import Triple, check_identity, classify, offset_x
+from straus import verify
+from straus.construct import ResidueRule, RuleSet, load_rules, match_rule
+from straus.core import Triple, check_identity, classify, next_boundary, offset_x
 from straus.enumeration import enumerate_fast
 from straus.sieve import PrimeRange, primes_in
 from straus.verify import (
     ExceptionLedger,
     WitnessReport,
+    _certified,
+    _check_claim,
     _pattern_y_report,
     check_conj3_witness,
     check_conj5_witness,
@@ -271,3 +275,97 @@ class TestLedgerCsv:
         write_ledger_csv(sweep("conj1", PrimeRange(2, 200)), dest)
         text = dest.read_text()
         assert "conj1,193,exception,," in text
+
+
+TABLES = {"conj2": "theorem5", "conj3-pattern": "conjecture3-table"}
+
+
+def _rule_triple(claim, p):
+    """The (x, y, z) the claim's table promises p, built here from the
+    matched rule: x = floor(py/(4y - p)) + 1 and z from the identity (conj2)
+    or z = p*lcm(x, y) (conj3-pattern).  None if no rule matches."""
+    rule = match_rule(load_rules(TABLES[claim]), p)
+    if rule is None:
+        return None
+    y = rule.evaluate(p)
+    x = next_boundary(p, y)
+    z = p * x * y // (4 * x * y - p * (x + y)) if claim == "conj2" else p * lcm(x, y)
+    return x, y, z
+
+
+class TestRuleCertificate:
+    @pytest.mark.parametrize("claim", ["conj2", "conj3-pattern"])
+    def test_claim_answer_equals_enumeration_to_20000(self, claim):
+        for p in primes_in(PrimeRange(2, 20_000)):
+            expected = (
+                verify_type_Ib_exists(p) if claim == "conj2" else _pattern_y_report(p) is not None
+            )
+            assert _check_claim(claim, False, p)[1] == expected, p
+
+    def test_certified_exactly_when_rule_triple_is_enumerated_to_3000(self):
+        primes = primes_in(PrimeRange(2, 3000))
+        certified = {claim: 0 for claim in TABLES}
+        for p in primes:
+            solutions = enumerate_fast(p).as_tuples()
+            for claim in TABLES:
+                ok = _certified(claim, p)
+                assert ok == (_rule_triple(claim, p) in solutions), (claim, p)
+                certified[claim] += ok
+        assert all(n > 0.9 * len(primes) for n in certified.values()), certified
+
+    @pytest.mark.parametrize("claim", ["conj2", "conj3-pattern"])
+    def test_ledgers_equal_at_one_and_two_workers_to_10000(self, claim):
+        r = PrimeRange(2, 10_000)
+        assert sweep(claim, r, workers=1) == sweep(claim, r, workers=2)
+
+    def test_stored_witnesses_are_the_enumerated_first_to_3000(self):
+        ledger = sweep("conj3-pattern", PrimeRange(2, 3000), store_witnesses=True)
+        expected = [_pattern_y_report(p) for p in primes_in(PrimeRange(2, 3000))]
+        assert ledger.witnesses == tuple(w for w in expected if w is not None)
+
+    def test_certificate_reaches_past_the_enumeration_envelope(self):
+        # enumerating 999983 builds a triple past the 128-bit envelope
+        with pytest.raises(OverflowError):
+            _pattern_y_report(999983)
+        assert _check_claim("conj3-pattern", False, 999983) == (999983, True, None)
+        assert _certified("conj2", 999983)
+
+    @pytest.mark.parametrize("claim", ["conj2", "conj3-pattern"])
+    @pytest.mark.parametrize(
+        "p, wrong",
+        [
+            (13, lambda r: ResidueRule(r.modulus, r.residue, r.c2, r.c1, r.c0 + r.den, r.den)),
+            (13, lambda r: ResidueRule(r.modulus, r.residue, 0, 0, 4, 1)),
+            (13, lambda r: ResidueRule(r.modulus, r.residue, 0, 0, 52, 1)),
+            (13, lambda r: ResidueRule(r.modulus, r.residue, 0, 1, 0, 2)),
+            (13, lambda r: ResidueRule(r.modulus, r.residue, 0, 0, 2, 1)),
+            (11, lambda r: ResidueRule(r.modulus, r.residue, 0, 1, 1, 4)),
+        ],
+        ids=["y+1", "y-below-x", "y-above-z", "non-integral", "below-pole", "pole-divides"],
+    )
+    def test_broken_rule_is_not_trusted(self, monkeypatch, claim, p, wrong):
+        r = PrimeRange(2, 300)
+        before = sweep(claim, r)
+        rule = wrong(match_rule(load_rules(TABLES[claim]), p))
+        monkeypatch.setattr(verify, "load_rules", lambda provenance: RuleSet(provenance, (rule,)))
+        assert not _certified(claim, p)
+        assert _check_claim(claim, False, p)[1]
+        assert sweep(claim, r) == before
+
+    def test_order_and_pole_cases_are_real_solutions(self):
+        # the y-below-x and y-above-z rules give solutions of 4/13 in the wrong order
+        assert next_boundary(13, 4) == 18 and check_identity(13, 18, 4, 468)
+        assert next_boundary(13, 52) == 4 and check_identity(13, 4, 52, 26)
+        # below-pole: x = floor(26/(8 - 13)) + 1 = -5 and 4/13 = -1/5 + 1/2 + 1/130
+        assert 4 * -5 * 2 * 130 == 13 * (-5 * 2 + 2 * 130 + 130 * -5)
+        # pole-divides: y = (p + 1)/4 makes 4y - p = 1 divide py, so x = py + 1 > y
+        assert next_boundary(11, 3) == 34
+
+    def test_sweep_loads_the_table_before_forking(self):
+        verify.load_rules.cache_clear()
+        sweep("conj2", PrimeRange(2, 200), workers=2)
+        assert verify.load_rules.cache_info().currsize == 1
+
+    def test_certificate_refuses_composite(self):
+        with pytest.raises(ValueError, match="not prime"):
+            _certified("conj2", 6001)  # 6001 = 17 * 353 is in a theorem5 class
