@@ -43,6 +43,11 @@ class TestSolve:
         assert code == 2
         assert "proven primality range" in err
 
+    def test_past_the_enumeration_ceiling_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "solve", "10000019")  # first prime above FAST_LIMIT
+        assert code == 2
+        assert "enumeration ceiling" in err
+
     def test_envelope_overflow_has_own_status(self, capsys):
         # p = 150011 is prime; a true solution's p*x*y*z leaves the envelope.
         code, _, err = run(capsys, "solve", "150011")

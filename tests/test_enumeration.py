@@ -1,11 +1,14 @@
 import io
 import sys
-from collections import defaultdict
+import time
+from collections import Counter, defaultdict
 
 import pytest
 
+from straus import enumeration, sieve
 from straus.core import Triple, check_identity, next_boundary
 from straus.enumeration import (
+    FAST_LIMIT,
     ORACLE_LIMIT,
     SolutionSet,
     INT64_XMAX,
@@ -14,7 +17,11 @@ from straus.enumeration import (
     iter_range_solutions,
     write_solutions_csv,
 )
-from straus.sieve import PrimeRange, primes_in
+from straus.sieve import PrimeRange, is_prime, primes_in
+
+# 10009 and 110017 are 1 (mod 24); 14159 is 3 (mod 4), so its first column
+# has r = 4x - p = 1, while the others' first columns have r = 3.
+ABOVE_ORACLE = [10009, 14159, 60013, 110017]
 
 
 class TestOracle:
@@ -74,6 +81,48 @@ class TestFast:
                 assert p < 4 * t.x <= 3 * p
                 assert t.y >= next_boundary(p, t.x)
                 assert check_identity(p, t.x, t.y, t.z)
+
+
+class TestProgressions:
+    @pytest.mark.parametrize("numpy_absent", [False, True], ids=["numpy", "no-numpy"])
+    @pytest.mark.parametrize("p", ABOVE_ORACLE)
+    def test_equals_range_kernel_above_the_oracle(self, p, numpy_absent, monkeypatch):
+        if numpy_absent:
+            monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
+        kernel = [t.as_tuple() for t in iter_range_solutions([p])]
+        assert enumerate_fast(p).as_tuples() == kernel
+
+    def test_columns_on_both_sides_of_the_divisor_switch_to_3000(self):
+        primes = primes_in(PrimeRange(3, 3000))
+        by_p = defaultdict(list)
+        for t in iter_range_solutions(primes):
+            by_p[t.p].append(t.as_tuple())
+        near_switch = Counter()
+        for p in primes:
+            assert enumerate_fast(p).as_tuples() == by_p[p], p
+            # the divisor list serves the columns with x > 8r, r = 4x - p
+            last_listed = max((x for x in range(p // 4 + 1, p) if x > 8 * (4 * x - p)),
+                              default=p // 4)
+            for x, _y, _z in by_p[p]:
+                if last_listed - 1 <= x <= last_listed + 2:
+                    near_switch[x <= last_listed] += 1
+        assert near_switch[True] > 50 and near_switch[False] > 50, near_switch
+
+    def test_refuses_primes_past_the_ceiling_before_sieving(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_spf", [])
+        p = next(q for q in range(FAST_LIMIT + 1, 2 * FAST_LIMIT) if is_prime(q))
+        table = len(sieve._table)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="enumeration ceiling"):
+            enumerate_fast(p)
+        assert time.perf_counter() - start < 1.0
+        assert enumeration._spf == []
+        assert len(sieve._table) == table
+
+    def test_factor_table_stops_near_a_quarter_of_p(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_spf", [])
+        enumerate_fast(60013)
+        assert len(enumeration._spf) < 0.26 * 60013
 
 
 class TestRangeKernel:
