@@ -7,8 +7,8 @@ is byte-identical regardless of worker count.
 from __future__ import annotations
 
 import os
-import time
 from multiprocessing import get_context
+from time import perf_counter
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -29,21 +29,33 @@ def default_workers() -> int:
 
 
 def pmap(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> list[R]:
-    """list(map(fn, items)), forked across workers when it pays off.
-
-    With several items per chunk, the first chunk runs here and the rest is
-    forked only if, at its pace, the workers would save more than a pool
-    costs; fewer items are worker-sized blocks and go straight to the pool.
-    """
+    """list(map(fn, items)), forked across workers when workers > 1."""
     if workers <= 1 or len(items) < _MIN_PARALLEL_ITEMS:
         return [fn(item) for item in items]
     chunksize = max(1, len(items) // (workers * 8))
-    head = []
-    if chunksize > 1:
-        start = time.perf_counter()
-        head = [fn(item) for item in items[:chunksize]]
-        rest_s = (time.perf_counter() - start) * (len(items) / chunksize - 1)
-        if rest_s * (1 - 1 / workers) <= _POOL_START_S:
-            return head + [fn(item) for item in items[chunksize:]]
     with get_context("fork").Pool(workers) as pool:
-        return head + pool.map(fn, items[len(head):], chunksize=chunksize)
+        return pool.map(fn, items, chunksize=chunksize)
+
+
+def sampled_pmap(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> list[R]:
+    """pmap for items of unknown cost: fork only when the workers would save
+    more than a pool costs.
+
+    Two disjoint samples of every k-th item run here first.  The first warms
+    the tables that later items reuse (the smallest-prime-factor table, the
+    sieve); the second is timed, and the rest is projected at its pace.  The
+    samples are strided over the whole list, not its head, because a sweep's
+    items are ascending primes that cost more as p grows.
+    """
+    if workers <= 1 or len(items) < _MIN_PARALLEL_ITEMS:
+        return [fn(item) for item in items]
+    stride = min(8 * workers, len(items))
+    done = {i: fn(items[i]) for i in range(stride // 2, len(items), stride)}
+    timed = range(stride // 4, len(items), stride)
+    start = perf_counter()
+    done.update((i, fn(items[i])) for i in timed)
+    rest = [i for i in range(len(items)) if i not in done]
+    rest_s = (perf_counter() - start) * len(rest) / len(timed)
+    forked = rest_s * (1 - 1 / workers) > _POOL_START_S
+    done.update(zip(rest, pmap(fn, [items[i] for i in rest], workers if forked else 1)))
+    return [done[i] for i in range(len(items))]

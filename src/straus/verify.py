@@ -25,7 +25,7 @@ from typing import IO
 from .construct import RuleViolationError, load_rules, match_rule
 from .core import Triple, next_boundary, offset_x
 from .enumeration import iter_solutions_fast
-from .parallel import pmap
+from .parallel import sampled_pmap
 from .sieve import PrimeRange, primes_in, require_prime
 from .sink import write_to
 
@@ -287,7 +287,8 @@ def sweep(
     """Run the claim's per-prime verifier over every prime in r.
 
     Partitioning across workers never changes the result; the ledger merge is
-    a plain ordered concatenation.
+    a plain ordered concatenation.  A sweep too cheap to pay for a pool runs
+    in-process at any worker count.
     """
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
@@ -299,7 +300,7 @@ def sweep(
         )
     if claim in _CLAIM_RULES:
         load_rules(_CLAIM_RULES[claim])  # validate once; forked workers inherit it
-    results = pmap(partial(_check_claim, claim, store_witnesses), primes_in(r), workers)
+    results = sampled_pmap(partial(_check_claim, claim, store_witnesses), primes_in(r), workers)
     exceptions = tuple(p for (p, ok, _w) in results if not ok)
     witnesses = tuple(w for (_p, _ok, w) in results if w is not None)
     return ExceptionLedger(claim, r, exceptions, witnesses)

@@ -7,6 +7,7 @@ from straus import verify
 from straus.construct import ResidueRule, RuleSet, load_rules, match_rule
 from straus.core import Triple, check_identity, classify, next_boundary, offset_x
 from straus.enumeration import enumerate_fast
+from straus.parallel import sampled_pmap
 from straus.sieve import PrimeRange, primes_in
 from straus.verify import (
     ExceptionLedger,
@@ -361,10 +362,19 @@ class TestRuleCertificate:
         # pole-divides: y = (p + 1)/4 makes 4y - p = 1 divide py, so x = py + 1 > y
         assert next_boundary(11, 3) == 34
 
-    def test_sweep_loads_the_table_before_forking(self):
+    def test_sweep_loads_the_table_before_forking(self, monkeypatch):
+        # the map itself runs a sample in-process, which would load the table
+        # too; what counts is that it is loaded before any item is mapped
+        loaded_at_map = []
+
+        def spy(fn, items, workers):
+            loaded_at_map.append(verify.load_rules.cache_info().currsize)
+            return sampled_pmap(fn, items, workers)
+
+        monkeypatch.setattr(verify, "sampled_pmap", spy)
         verify.load_rules.cache_clear()
         sweep("conj2", PrimeRange(2, 200), workers=2)
-        assert verify.load_rules.cache_info().currsize == 1
+        assert loaded_at_map == [1]
 
     def test_certificate_refuses_composite(self):
         with pytest.raises(ValueError, match="not prime"):
