@@ -6,7 +6,6 @@ boundary-pattern claims over prime ranges, and renders the solution lattice.
 """
 
 from .core import (
-    INT128_MAX,
     BoundaryValue,
     Classification,
     Triple,

@@ -2,8 +2,7 @@
 
 Every subcommand is a thin adapter over the library; there is no randomness
 anywhere, so repeated runs are byte-identical.  Exit status: 0 on success,
-1 when --strict and a sweep found exceptions, 2 on usage errors, 3 when a
-solution falls outside the signed 128-bit envelope.
+1 when --strict and a sweep found exceptions, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -184,9 +183,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except OverflowError as exc:
-        print(f"error: outside the 128-bit envelope: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, construct_mod.RuleViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,31 +2,23 @@
 
 Everything here is pure integer arithmetic: floors and ceilings come from
 integer division, never from floats, so the boundary classifications below
-cannot be perturbed by rounding.  All values are kept inside a signed 128-bit
-envelope; constructors reject inputs whose products would leave it.
+cannot be perturbed by rounding.  Python integers are unbounded, so no value
+has a width limit: z reaches order p**4 in the lcm-shaped constructions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-INT128_MAX = 2**127 - 1
-
 
 def check_identity(p: int, x: int, y: int, z: int) -> bool:
     """True iff 4*x*y*z == p*(x*y + y*z + z*x) exactly.
 
-    This is the cross-multiplied form of 4/p = 1/x + 1/y + 1/z.  Raises
-    OverflowError if either side exceeds the 128-bit envelope (every
-    intermediate product is bounded by the side it contributes to).
+    This is the cross-multiplied form of 4/p = 1/x + 1/y + 1/z.
     """
     if p < 1 or x < 1 or y < 1 or z < 1:
         raise ValueError(f"all arguments must be >= 1, got {(p, x, y, z)}")
-    lhs = 4 * x * y * z
-    rhs = p * (x * y + y * z + z * x)
-    if lhs > INT128_MAX or rhs > INT128_MAX:
-        raise OverflowError(f"product exceeds 128-bit range for {(p, x, y, z)}")
-    return lhs == rhs
+    return 4 * x * y * z == p * (x * y + y * z + z * x)
 
 
 @dataclass(frozen=True)
@@ -59,10 +51,7 @@ def boundary(p: int, a: int) -> BoundaryValue:
     den = 4 * a - p
     if den <= 0:
         raise ValueError(f"boundary undefined: 4*{a} - {p} = {den} <= 0")
-    num = p * a
-    if num > INT128_MAX:
-        raise OverflowError(f"boundary numerator exceeds 128-bit range for ({p}, {a})")
-    return BoundaryValue(num, den)
+    return BoundaryValue(p * a, den)
 
 
 def next_boundary(p: int, a: int) -> int:
@@ -79,10 +68,8 @@ def next_boundary(p: int, a: int) -> int:
 class Triple:
     """A verified solution (p, x, y, z) of 4/p = 1/x + 1/y + 1/z, x <= y <= z.
 
-    Construction sorts the three denominators, checks the identity exactly,
-    checks the forced window p/4 < x <= 3p/4, and rejects values whose
-    product p*x*y*z would overflow 128 bits (z reaches order p**4 in the
-    lcm-shaped constructions, hence the wide envelope).
+    Construction sorts the three denominators, checks the identity exactly
+    and checks the forced window p/4 < x <= 3p/4.
     """
 
     p: int
@@ -95,10 +82,6 @@ class Triple:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)
-        if self.p < 1 or x < 1:
-            raise ValueError(f"all members must be >= 1, got {self}")
-        if self.p * x * y * z > INT128_MAX:
-            raise OverflowError(f"triple exceeds 128-bit range: {self}")
         if not check_identity(self.p, x, y, z):
             raise ValueError(f"not a solution: 4/{self.p} != 1/{x} + 1/{y} + 1/{z}")
         if not (self.p < 4 * x and 4 * x <= 3 * self.p):

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import IO
 
 from .construct import RuleViolationError, load_rules, match_rule
-from .core import Triple, next_boundary, offset_x
+from .core import Triple, check_identity, next_boundary, offset_x
 from .enumeration import iter_solutions_fast
 from .parallel import sampled_pmap
 from .sieve import PrimeRange, primes_in, require_prime
@@ -36,10 +36,14 @@ DEFAULT_THRESHOLD_PRIME = 2521
 CLAIMS = ("conj1", "conj2", "conj3-pattern", "conj5-pattern")
 
 # Desk-scale ceilings: refuse sweeps whose worst case would blow the time
-# budget instead of silently grinding.
+# budget instead of silently grinding.  A whole sweep from 2 to its ceiling
+# on one worker (2-vCPU box, Python 3.11): conj1 9.5 s, conj2 7.2 s,
+# conj5-pattern 8.5 s.  conj3-pattern takes 8.3 s to 10^7 without witnesses,
+# but --witnesses enumerates every prime at about 1 ms/prime near 10^7, so
+# its ceiling stays 10^6 (3.2 s with witnesses).
 CLAIM_CEILINGS = {
-    "conj1": 100_000,
-    "conj2": 100_000,
+    "conj1": 10_000_000,
+    "conj2": 10_000_000,
     "conj3-pattern": 1_000_000,
     "conj5-pattern": 10_000_000,
 }
@@ -150,8 +154,7 @@ def _scan_window(p: int, kind: str, lo: int, hi: int) -> WitnessReport | None:
     for a in range(lo, hi + 1):
         b = _lcm_partner(p, a)
         if b is not None:
-            x, y = sorted((a, b))
-            derived = Triple(p, x, y, p * lcm(x, y))
+            derived = Triple(p, a, b, p * lcm(a, b))
             return WitnessReport(p, kind, a, p * a % (4 * a - p), derived, a - lo + 1)
     return None
 
@@ -215,7 +218,8 @@ def _certified(claim: str, p: int) -> bool:
     d = 4xy - p(x + y), for conj2 (type I(b) by construction), or x = the lcm
     partner of y and z = p*lcm(x, y) for conj3-pattern.  The table is not
     trusted: a rule that breaks its promise gives False, and the solution is
-    checked with exact integers (no Triple, so z ~ p**4 meets no envelope).
+    checked with exact integers.  The certificate exists only for speed: it
+    builds no Triple and skips the enumeration that would otherwise decide p.
 
     d > 0 because x > py/(4y - p), and with z = floor(pxy/d) the identity
     holds only if d divides pxy.  gcd(p, y) = 1 needs no test either: an lcm
@@ -240,7 +244,7 @@ def _certified(claim: str, p: int) -> bool:
         if x is None:
             return False
         z = p * lcm(x, y)
-    return x <= y <= z and 4 * x * y * z == p * (x * y + y * z + z * x)
+    return x <= y <= z and check_identity(p, x, y, z)
 
 
 def _check_claim(claim: str, store: bool, p: int) -> tuple[int, bool, WitnessReport | None]:

@@ -3,6 +3,7 @@ import time
 import pytest
 
 from straus.cli import main
+from straus.core import check_identity
 from straus.enumeration import INT64_XMAX
 
 
@@ -49,10 +50,15 @@ class TestSolve:
         assert "enumeration ceiling" in err
 
     def test_envelope_overflow_has_own_status(self, capsys):
-        # p = 150011 is prime; a true solution's p*x*y*z leaves the envelope.
-        code, _, err = run(capsys, "solve", "150011")
-        assert code == 3
-        assert "envelope" in err
+        # p = 150011 has solutions with p*x*y*z above 2**127; exact integers take them
+        code, out, _ = run(capsys, "solve", "150011")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "# p=150011: 248 solutions"
+        assert len(lines) == 249
+        for line in lines[1:]:
+            x, y, z, _label = line.split()
+            assert check_identity(150011, int(x), int(y), int(z))
 
 
 class TestClassify:
@@ -66,6 +72,18 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "17", "5", "34", "171")
         assert code == 2
         assert "not a solution" in err
+
+    @pytest.mark.parametrize("digits", [4300, 4400])
+    def test_huge_integers_are_usage_errors(self, capsys, digits):
+        # 4300 digits parse and fail the identity; past Python's 4300-digit
+        # int parse limit argparse itself refuses the argument
+        start = time.perf_counter()
+        try:
+            code = main(["classify", "17", "9" * digits, "9" * digits, "9" * digits])
+        except SystemExit as exc:
+            code = exc.code
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
 
 
 class TestVerify:
@@ -111,6 +129,13 @@ class TestStats:
         assert code == 0
         assert "1,4,1.0000" in out
         assert series.read_text().splitlines()[1] == "17,4,0,0.0000"
+
+    def test_range_past_the_old_128_bit_bound(self, capsys):
+        code, out, _ = run(capsys, "stats", "--from", "150000", "--to", "150030",
+                           "--workers", "1")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:6]]
+        assert [int(count) for _i, count, _prop in rows] == [331, 8, 3, 1, 10]
 
     def test_past_int64_bound_is_usage_error(self, capsys):
         start = time.perf_counter()

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from straus.core import (
-    INT128_MAX,
     BoundaryValue,
     Triple,
     boundary,
@@ -33,9 +32,12 @@ class TestCheckIdentity:
             check_identity(17, 0, 34, 170)
 
     def test_overflow_rejected(self):
+        # exact integers at any width: 4xyz here has 128 bits
+        x, y, z = 198080, 52314050454, 4105139812303172358720
+        assert check_identity(792317, x, y, z)
+        assert not check_identity(792317, x, y, z + 1)
         big = 2**43
-        with pytest.raises(OverflowError):
-            check_identity(3, big, big, big)
+        assert not check_identity(3, big, big, big)
 
 
 class TestBoundary:
@@ -114,8 +116,7 @@ class TestTriple:
         assert Triple(2, 1, 2, 2).as_tuple() == (1, 2, 2)
 
     def test_rejects_overflow(self):
-        # identity-true values scaled beyond the envelope are rejected before
-        # the identity check can pass
+        # scaling a solution of p = 17 by 2**40 breaks the identity for p = 17
         with pytest.raises((OverflowError, ValueError)):
             Triple(17, 5 * 2**40, 34 * 2**40, 170 * 2**40)
 

@@ -21,7 +21,7 @@ from straus.sieve import PrimeRange, is_prime, primes_in
 
 # 10009 and 110017 are 1 (mod 24); 14159 is 3 (mod 4), so its first column
 # has r = 4x - p = 1, while the others' first columns have r = 3.
-ABOVE_ORACLE = [10009, 14159, 60013, 110017]
+ABOVE_ORACLE = [10009, 14159, 60013, 110017, 150011]
 
 
 class TestOracle:

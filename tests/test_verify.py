@@ -227,13 +227,30 @@ class TestSweep:
         ledger = sweep("conj5-pattern", PrimeRange(2, 3000))
         assert ledger.exceptions == (2, 3, 7, 47, 193, 2521)
 
+    def test_conj5_pattern_at_its_ceiling(self):
+        ledger = sweep("conj5-pattern", PrimeRange(9_999_000, 10**7), store_witnesses=True)
+        assert ledger.exceptions == ()
+        assert len(ledger.witnesses) == 53
+        for w in ledger.witnesses:
+            assert check_conj5_witness(w.p, w.witness)
+            assert check_identity(w.p, *w.derived.as_tuple())
+
+    @pytest.mark.parametrize("store", [False, True])
+    def test_conj3_pattern_at_its_ceiling(self, store):
+        ledger = sweep("conj3-pattern", PrimeRange(990_000, 10**6), store_witnesses=store)
+        assert ledger.exceptions == ()
+
+    @pytest.mark.parametrize("claim", ["conj1", "conj2"])
+    def test_conj1_conj2_at_their_ceiling(self, claim):
+        assert sweep(claim, PrimeRange(9_999_000, 10**7)).exceptions == ()
+
     def test_unknown_claim(self):
         with pytest.raises(ValueError):
             sweep("conj9", PrimeRange(2, 100))
 
     def test_oversized_range_refused_with_suggestion(self):
-        with pytest.raises(ValueError, match=r"try \[2, 100000\]"):
-            sweep("conj1", PrimeRange(2, 200_000))
+        with pytest.raises(ValueError, match=r"try \[2, 10000000\]"):
+            sweep("conj1", PrimeRange(2, 20_000_000))
 
     def test_worker_count_invisible(self):
         r = PrimeRange(2, 600)
@@ -325,9 +342,15 @@ class TestRuleCertificate:
         assert ledger.witnesses == tuple(w for w in expected if w is not None)
 
     def test_certificate_reaches_past_the_enumeration_envelope(self):
-        # enumerating 999983 builds a triple past the 128-bit envelope
-        with pytest.raises(OverflowError):
-            _pattern_y_report(999983)
+        # the certificate and the enumeration agree where p*x*y*z needs 152 bits
+        report = _pattern_y_report(999983)
+        assert report.witness == 249991750069
+        assert report.derived.as_tuple() == (249996, 249991750069, 62495875102311369754692)
+        # a p*x*y*z <= 2**127 bound on Triple first broke the sweep with
+        # witnesses at 120199 and without them at 214849
+        for p in (120199, 214849, 999983):
+            for store in (False, True):
+                assert _check_claim("conj3-pattern", store, p)[:2] == (p, True)
         assert _check_claim("conj3-pattern", False, 999983) == (999983, True, None)
         assert _certified("conj2", 999983)
 
