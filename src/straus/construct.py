@@ -14,7 +14,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .core import Triple, classify, next_boundary
+from .core import Triple, classify
 from .sieve import is_prime, require_prime
 
 RULE_FILES = {
@@ -130,6 +130,7 @@ def _validate_rule(rule: ResidueRule) -> None:
 
 
 def _parse_rules(text: str, provenance: str) -> RuleSet:
+    """Parse a table and validate every rule on sampled primes."""
     rules = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -140,7 +141,10 @@ def _parse_rules(text: str, provenance: str) -> RuleSet:
             raise ValueError(f"line {lineno}: expected 'M r c2 c1 c0 d', got {raw!r}")
         m, r, c2, c1, c0, d = (int(f) for f in fields)
         rules.append(ResidueRule(m, r, c2, c1, c0, d))
-    return RuleSet(provenance, tuple(rules))
+    ruleset = RuleSet(provenance, tuple(rules))
+    for rule in ruleset.rules:
+        _validate_rule(rule)
+    return ruleset
 
 
 @lru_cache(maxsize=None)
@@ -157,18 +161,12 @@ def load_rules(provenance: str) -> RuleSet:
         raise RuleViolationError(
             f"{filename} checksum mismatch: table was edited without re-pinning"
         )
-    ruleset = _parse_rules(data.decode(), provenance)
-    for rule in ruleset.rules:
-        _validate_rule(rule)
-    return ruleset
+    return _parse_rules(data.decode(), provenance)
 
 
 def load_rules_from_path(path: str | Path, provenance: str = "custom") -> RuleSet:
     """Parse and validate a rule table from an arbitrary file (no checksum)."""
-    ruleset = _parse_rules(Path(path).read_text(), provenance)
-    for rule in ruleset.rules:
-        _validate_rule(rule)
-    return ruleset
+    return _parse_rules(Path(path).read_text(), provenance)
 
 
 def match_rule(rs: RuleSet, p: int) -> ResidueRule | None:
@@ -184,27 +182,34 @@ def match_rule(rs: RuleSet, p: int) -> ResidueRule | None:
     return None
 
 
+def _rule_solution(rule: ResidueRule, p: int) -> tuple[int, int, int]:
+    """(x, y, z) the rule promises for p, in plain integers: y from the rule,
+    x = floor(py/q) + 1 for q = 4y - p, z = pxy/d for d = 4xy - p(x + y),
+    which is qx - py > 0.  A rule that breaks its promise raises
+    RuleViolationError."""
+    y = rule.evaluate(p)
+    q = 4 * y - p
+    if q <= 0:
+        raise RuleViolationError(f"y = {y} at or below the pole for p = {p}")
+    x = p * y // q + 1
+    z, rem = divmod(p * x * y, 4 * x * y - p * (x + y))
+    if rem:
+        raise RuleViolationError(
+            f"rule {rule.label()} gives non-integral z for p = {p} (y = {y})"
+        )
+    return x, y, z
+
+
 def construct_solution(rule: ResidueRule, p: int) -> Triple:
     """Build the solution a rule promises for p, verifying every step.
 
-    y comes from the rule, x is the first integer above the boundary for that
-    y, and z is solved from the identity.  Any failure along the way is a
-    transcription error in the table, never an expected outcome.
+    Any failure along the way is a transcription error in the table, never
+    an expected outcome.
     """
     require_prime(p)
     if not rule.matches(p):
         raise ValueError(f"p = {p} is not in class {rule.label()}")
-    y = rule.evaluate(p)
-    if 4 * y - p <= 0:
-        raise RuleViolationError(f"y = {y} at or below the pole for p = {p}")
-    x = next_boundary(p, y)
-    d = 4 * x * y - p * (x + y)
-    pxy = p * x * y
-    if d <= 0 or pxy % d != 0:
-        raise RuleViolationError(
-            f"rule {rule.label()} gives non-integral z for p = {p} (y = {y})"
-        )
-    t = Triple(p, x, y, pxy // d)
+    t = Triple(p, *_rule_solution(rule, p))
     if not classify(t).is_ib:
         raise RuleViolationError(
             f"rule {rule.label()} built a non-boundary-adjacent triple for p = {p}"

@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from math import isqrt
 from pathlib import Path
 from typing import IO
 
@@ -75,25 +74,17 @@ def _summarize_x_block(primes: list[int], block: tuple[int, int]) -> Counter:
     )
 
 
-def _x_blocks(x_max: int, workers: int) -> list[tuple[int, int]]:
-    """[1, x_max] cut into blocks of about equal work.  A column's cost
-    grows like x, so the k-th of K cuts sits at x_max * sqrt(k / K); eight
-    blocks per worker let the pool even out the rest."""
-    k_blocks = 1 if workers <= 1 else 8 * workers
-    cuts = [isqrt(x_max * x_max * k // k_blocks) for k in range(k_blocks + 1)]
-    return [(a + 1, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+# Columns per block, the same at every worker count: pmap forks only from
+# eight blocks (x_max > 1400, a range reaching p = 1871), below which a pool
+# costs more than it saves.  Small blocks keep any one from holding up the
+# pool, since a column's cost is no simple function of x.
+_BLOCK_COLUMNS = 200
 
 
-def _summary_rows(primes: list[int], workers: int) -> list[tuple[int, tuple[int, ...], int]]:
-    """(p, per-bucket counts, type-II count) for each prime, ascending."""
-    x_max = 3 * primes[-1] // 4 if primes else 0
-    blocks = pmap(partial(_summarize_x_block, primes), _x_blocks(x_max, workers), workers)
-    tally = sum(blocks, Counter())
-    rows = []
-    for p in primes:
-        buckets = tuple(tally[p, i] for i in BUCKETS)
-        rows.append((p, buckets, sum(buckets[1:])))
-    return rows
+def _x_blocks(x_max: int) -> list[tuple[int, int]]:
+    """[1, x_max] cut into blocks of _BLOCK_COLUMNS columns, the last shorter."""
+    starts = range(1, x_max + 1, _BLOCK_COLUMNS)
+    return [(lo, min(lo + _BLOCK_COLUMNS - 1, x_max)) for lo in starts]
 
 
 def range_summary(
@@ -109,13 +100,18 @@ def range_summary(
             f"hi = {r.hi} puts x past the int64 kernel bound {INT64_XMAX} "
             f"(stats covers hi up to {(4 * INT64_XMAX + 3) // 3})"
         )
-    rows = _summary_rows(primes_in(r), workers)
+    primes = primes_in(r)
+    x_max = 3 * primes[-1] // 4 if primes else 0
+    tally = Counter()
+    for block in pmap(partial(_summarize_x_block, primes), _x_blocks(x_max), workers):
+        tally.update(block)
     counts = dict.fromkeys(BUCKETS, 0)
+    for (_, i), c in tally.items():
+        counts[i] += c
     series = []
-    for p, buckets, n_type_ii in rows:
-        for i, c in zip(BUCKETS, buckets):
-            counts[i] += c
-        series.append(PerPrimeProportion(p, sum(buckets), n_type_ii))
+    for p in primes:
+        buckets = [tally[p, i] for i in BUCKETS]
+        series.append(PerPrimeProportion(p, sum(buckets), sum(buckets[1:])))
     table = DistTable(r, counts, overflow=0, total=sum(counts.values()))
     return table, series
 

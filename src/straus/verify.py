@@ -22,7 +22,7 @@ from math import gcd, lcm
 from pathlib import Path
 from typing import IO
 
-from .construct import RuleViolationError, load_rules, match_rule
+from .construct import RuleViolationError, _rule_solution, load_rules, match_rule
 from .core import Triple, check_identity, next_boundary, offset_x
 from .enumeration import iter_solutions_fast
 from .parallel import sampled_pmap
@@ -214,36 +214,26 @@ def _pattern_y_report(p: int) -> WitnessReport | None:
 def _certified(claim: str, p: int) -> bool:
     """Does the claim's rule table give p a solution of the claimed shape?
 
-    The matched rule's y gives x = floor(py/(4y - p)) + 1 and z = pxy/d,
-    d = 4xy - p(x + y), for conj2 (type I(b) by construction), or x = the lcm
-    partner of y and z = p*lcm(x, y) for conj3-pattern.  The table is not
-    trusted: a rule that breaks its promise gives False, and the solution is
-    checked with exact integers.  The certificate exists only for speed: it
-    builds no Triple and skips the enumeration that would otherwise decide p.
-
-    d > 0 because x > py/(4y - p), and with z = floor(pxy/d) the identity
-    holds only if d divides pxy.  gcd(p, y) = 1 needs no test either: an lcm
-    partner of y never exists when the prime p divides y (see _scan_window).
+    The matched rule's solution (construct._rule_solution) is type I(b) by
+    construction, which is conj2's shape.  conj3-pattern also needs its x to
+    be the lcm partner of y; then d = gcd(x, y) (see _lcm_partner), so its z
+    is p*lcm(x, y).  The table is not trusted: a rule that breaks its promise
+    gives False, and the solution is checked with exact integers.  The
+    certificate exists only for speed: it builds no Triple and skips the
+    enumeration that would otherwise decide p.  gcd(p, y) = 1 needs no test:
+    an lcm partner of y never exists when the prime p divides y (see
+    _scan_window).
     """
     require_prime(p)
     rule = match_rule(load_rules(_CLAIM_RULES[claim]), p)
     if rule is None:
         return False
     try:
-        y = rule.evaluate(p)
+        x, y, z = _rule_solution(rule, p)
     except RuleViolationError:
         return False
-    q = 4 * y - p
-    if q <= 0:
+    if claim == "conj3-pattern" and _lcm_partner(p, y) != x:
         return False
-    if claim == "conj2":
-        x = p * y // q + 1
-        z = p * x * y // (4 * x * y - p * (x + y))
-    else:
-        x = _lcm_partner(p, y)
-        if x is None:
-            return False
-        z = p * lcm(x, y)
     return x <= y <= z and check_identity(p, x, y, z)
 
 

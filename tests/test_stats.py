@@ -1,4 +1,5 @@
 import io
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import straus
-from straus import enumeration
+from straus import enumeration, parallel
 from straus.core import offset_x
 from straus.enumeration import enumerate_fast
+from straus.parallel import pmap
 from straus.sieve import PrimeRange, primes_in
 from straus.stats import (
     DistTable,
@@ -45,9 +47,28 @@ class TestDistribution:
         table, series = range_summary(PrimeRange(2, 300))
         assert table.total == sum(row.n_solutions for row in series)
 
-    def test_worker_count_invisible(self):
-        r = PrimeRange(2, 400)
-        assert range_summary(r, workers=1) == range_summary(r, workers=2)
+    def test_worker_count_invisible(self, monkeypatch):
+        opened = []
+
+        def get_context(method):
+            opened.append(method)
+            return multiprocessing.get_context(method)
+
+        monkeypatch.setattr(parallel, "get_context", get_context)
+        for hi in (400, 3000):  # 2 blocks run in-process, 12 are forked
+            r = PrimeRange(2, hi)
+            assert range_summary(r, workers=1) == range_summary(r, workers=2)
+        assert opened == ["fork"]
+
+    def test_small_range_stays_in_process(self, monkeypatch):
+        r = PrimeRange(2, 1000)  # 4 blocks
+        expected = range_summary(r, workers=1)
+
+        def no_pool(method):
+            raise AssertionError("a 4-block range opened a pool")
+
+        monkeypatch.setattr(parallel, "get_context", no_pool)
+        assert range_summary(r, workers=2) == expected
 
     def test_counts_must_sum(self):
         with pytest.raises(ValueError):
@@ -96,16 +117,16 @@ class TestRangeKernel:
         with pytest.raises(ValueError):
             range_summary(PrimeRange(last + 1, last + 1))
 
-    @pytest.mark.parametrize("x_max, workers", [(1, 1), (1, 2), (7, 2), (4500, 1), (4500, 3)])
+    @pytest.mark.parametrize("x_max, workers", [
+        (1, 1), (1, 2), (7, 2), (199, 1), (200, 1), (201, 1), (4500, 1), (4500, 3),
+    ])
     def test_x_blocks_cover_each_column_once(self, x_max, workers):
-        blocks = _x_blocks(x_max, workers)
-        columns = [x for lo, hi in blocks for x in range(lo, hi + 1)]
-        assert columns == list(range(1, x_max + 1))
-
-    def test_x_blocks_balance_work(self):
-        work = [sum(range(lo, hi + 1)) for lo, hi in _x_blocks(4500, 2)]
-        assert len(work) == 16
-        assert max(work) < 1.01 * min(work)
+        # range_summary maps its blocks through pmap; the columns must come
+        # back once each and in order, whether the blocks ran here or forked.
+        blocks = _x_blocks(x_max)
+        assert all(hi - lo + 1 <= 200 for lo, hi in blocks)
+        mapped = pmap(list, [range(lo, hi + 1) for lo, hi in blocks], workers)
+        assert [x for block in mapped for x in block] == list(range(1, x_max + 1))
 
     def test_import_leaves_numpy_unloaded(self):
         src = Path(straus.__file__).resolve().parent.parent
