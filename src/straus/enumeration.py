@@ -14,7 +14,7 @@ from math import isqrt
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
-from .core import Triple, next_boundary
+from .core import Triple, check_identity, next_boundary
 from .sieve import require_prime
 from .sink import write_to
 
@@ -23,10 +23,7 @@ ORACLE_LIMIT = 10_000
 # _spf at 2.6 * 10**6 entries (2-vCPU box, Python 3.11); both grow like p.
 FAST_LIMIT = 10_000_000
 
-# iter_range_solutions forms values up to 8 * x**2 in int64, and tests at
-# most _BLOCK_CELLS (prime, divisor) pairs per numpy call.
-INT64_XMAX = isqrt((2**63 - 1) // 8)
-_BLOCK_CELLS = 1 << 18
+_BLOCK_CELLS = 1 << 18  # most (prime, divisor) pairs per numpy call
 
 # Smallest-prime-factor table, grown on demand; x never exceeds 3p/4 so this
 # stays desk-sized.
@@ -176,18 +173,20 @@ def iter_solutions_fast(p: int) -> Iterator[Triple]:
 
 def iter_range_solutions(
     primes: Sequence[int], x_lo: int = 1, x_hi: int | None = None
-) -> Iterator[Triple]:
-    """Yield the solutions with x in [x_lo, x_hi] of every prime in the
-    ascending list `primes`, ordered by (x, p, y).
+) -> Iterator[tuple[int, int, int, int]]:
+    """Yield the rows (p, x, y, z) with x in [x_lo, x_hi] of every prime in
+    the ascending list `primes`, ordered by (x, p, y).
 
     iter_solutions_fast with its loops swapped: the divisors of x**2 are
     formed once per x-column and tested against all the column's primes
     (p/4 < x <= 3p/4) in one block.  Since p = 4x (mod r), the tests
     r | px + d and r | px + dp read r | 4x**2 + d and r | 4x(x + d), whose
-    left sides do not depend on p and stay at most 8 * x**2, so they fit
-    int64 while x_hi <= INT64_XMAX.  numpy, when importable, runs each
-    block's divisibility test as one vector operation; without it the same
-    test runs in plain Python.  Only the hits go on, each checked by Triple.
+    left sides do not depend on p and stay at most 8 * x**2, an int64 (about
+    4.5 * 10**12 at stats' ceiling).  numpy, when importable, runs each
+    block's divisibility test as one vector operation, else plain Python
+    does.  Each hit is checked with check_identity and a failure raises;
+    y >= x (the filter on d), z >= y (d <= px) and the window (the column's
+    prime slice) hold by construction.
     """
     try:
         import numpy as np
@@ -196,8 +195,6 @@ def iter_range_solutions(
 
     if x_hi is None:
         x_hi = 3 * primes[-1] // 4 if primes else 0
-    if x_hi > INT64_XMAX:
-        raise OverflowError(f"x up to {x_hi} exceeds the int64 kernel bound {INT64_XMAX}")
     ps = np.array(primes, dtype=np.int64) if np else None
     for x in range(x_lo, x_hi + 1):
         first = bisect_left(primes, (4 * x + 2) // 3)  # p >= 4x/3
@@ -227,7 +224,9 @@ def iter_range_solutions(
                     n, q = p * x, 4 * x - p
                     cols.append((p, (n + d) // q, (n + n * n // d) // q))
         for p, y, z in sorted(cols):
-            yield Triple(p, x, y, z)
+            if not check_identity(p, x, y, z):
+                raise ValueError(f"not a solution: 4/{p} != 1/{x} + 1/{y} + 1/{z}")
+            yield p, x, y, z
 
 
 def enumerate_fast(p: int) -> SolutionSet:

@@ -21,10 +21,7 @@ _POOL_START_S = 0.1
 
 
 def default_workers() -> int:
-    """Worker count from STRAUS_WORKERS, else the available parallelism."""
-    env = os.environ.get("STRAUS_WORKERS", "").strip()
-    if env:
-        return max(1, int(env))
+    """The available parallelism: --workers' default."""
     return os.cpu_count() or 1
 
 

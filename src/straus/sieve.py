@@ -33,6 +33,16 @@ class PrimeRange:
                 f"hi = {self.hi} exceeds the configured ceiling {PRIME_CEILING}"
             )
 
+    def require_within(self, ceiling: int, what: str) -> None:
+        """Refuse a range ending above a desk-scale ceiling, naming the part
+        of it below the ceiling when there is one."""
+        if self.hi > ceiling:
+            below = f"; try [{self.lo}, {ceiling}] and run the rest separately"
+            raise ValueError(
+                f"range [{self.lo}, {self.hi}] exceeds the {what} desk-scale ceiling "
+                f"{ceiling}{below if self.lo <= ceiling else ''}"
+            )
+
 
 def _sieve_flags(limit: int) -> bytearray:
     """flags[n] == 1 exactly when n is prime, for 0 <= n < limit (limit >= 2)."""

@@ -36,11 +36,11 @@ DEFAULT_THRESHOLD_PRIME = 2521
 CLAIMS = ("conj1", "conj2", "conj3-pattern", "conj5-pattern")
 
 # Desk-scale ceilings: refuse sweeps whose worst case would blow the time
-# budget instead of silently grinding.  A whole sweep from 2 to its ceiling
-# on one worker (2-vCPU box, Python 3.11): conj1 9.5 s, conj2 7.2 s,
-# conj5-pattern 8.5 s.  conj3-pattern takes 8.3 s to 10^7 without witnesses,
-# but --witnesses enumerates every prime at about 1 ms/prime near 10^7, so
-# its ceiling stays 10^6 (3.2 s with witnesses).
+# budget instead of silently grinding.  A whole CLI sweep from 2 to its
+# ceiling on one worker (2-vCPU box, Python 3.11, median of three): conj1
+# 24.4 s, conj2 17.2 s, conj5-pattern 19.9 s.  conj3-pattern takes 16 s to
+# 10^7 without witnesses, but --witnesses enumerates every prime at about
+# 1 ms/prime near 10^7, so its ceiling stays 10^6 (7.4 s with witnesses).
 CLAIM_CEILINGS = {
     "conj1": 10_000_000,
     "conj2": 10_000_000,
@@ -286,12 +286,7 @@ def sweep(
     """
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
-    ceiling = CLAIM_CEILINGS[claim]
-    if r.hi > ceiling:
-        raise ValueError(
-            f"range [{r.lo}, {r.hi}] exceeds the {claim} desk-scale ceiling "
-            f"{ceiling}; try [{r.lo}, {ceiling}] and sweep the rest separately"
-        )
+    r.require_within(CLAIM_CEILINGS[claim], claim)
     if claim in _CLAIM_RULES:
         load_rules(_CLAIM_RULES[claim])  # validate once; forked workers inherit it
     results = sampled_pmap(partial(_check_claim, claim, store_witnesses), primes_in(r), workers)

@@ -4,7 +4,6 @@ import pytest
 
 from straus.cli import main
 from straus.core import check_identity
-from straus.enumeration import INT64_XMAX
 
 
 def run(capsys, *argv):
@@ -106,6 +105,16 @@ class TestVerify:
         assert code == 0
         assert "conj1,193,exception,," in dest.read_text()
 
+    def test_pstar_lists_exceptions_above_it(self, capsys):
+        code, out, _ = run(capsys, "verify", "conj1", "--to", "1000", "--pstar", "100")
+        assert code == 0
+        assert out.splitlines() == [
+            "claim=conj1 range=[2,1000] exceptions=193",
+            "exceptions above p*=100: 193",
+        ]
+        _, out, _ = run(capsys, "verify", "conj1", "--to", "1000")  # p* = 2521
+        assert "exceptions above" not in out
+
     def test_unknown_claim_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "conj9"])
@@ -137,12 +146,20 @@ class TestStats:
         rows = [line.split(",") for line in out.splitlines()[1:6]]
         assert [int(count) for _i, count, _prop in rows] == [331, 8, 3, 1, 10]
 
-    def test_past_int64_bound_is_usage_error(self, capsys):
+    def test_gnuplot_file(self, capsys, tmp_path):
+        dest = tmp_path / "dist.dat"
+        code, _, _ = run(capsys, "stats", "--to", "500", "--gnuplot", str(dest),
+                         "--workers", "1")
+        assert code == 0
+        # 3049, 32, 3, 0, 0 of 3084 (the frozen distribution to 500)
+        assert dest.read_text() == "1 0.9887\n2 0.0104\n3 0.0010\n4 0.0000\n5 0.0000\n"
+
+    def test_past_the_ceiling_is_usage_error(self, capsys):
         start = time.perf_counter()
-        code, _, err = run(capsys, "stats", "--from", "1500000000", "--to", "1500000100")
+        code, _, err = run(capsys, "stats", "--to", "1000001")
         assert time.perf_counter() - start < 1.0
         assert code == 2
-        assert f"int64 kernel bound {INT64_XMAX}" in err
+        assert "stats desk-scale ceiling 1000000" in err
 
 
 class TestConstructAndWitness:

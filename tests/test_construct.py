@@ -4,6 +4,7 @@ from math import gcd, lcm
 
 import pytest
 
+from straus import construct
 from straus.construct import (
     RULE_CHECKSUMS,
     ResidueRule,
@@ -54,6 +55,37 @@ class TestRuleFiles:
         bad.write_text("8 5 1 3\n")
         with pytest.raises(ValueError, match="expected"):
             load_rules_from_path(bad)
+
+    @pytest.mark.parametrize("modulus, residue", [(8, 8), (8, -3), (0, 0)])
+    def test_bad_residue_class_rejected(self, modulus, residue):
+        with pytest.raises(ValueError, match="bad residue class"):
+            ResidueRule(modulus, residue, 1, 3, 0, 8)
+
+    @pytest.mark.parametrize("den", [0, -8])
+    def test_denominator_below_one_rejected(self, den):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            ResidueRule(8, 5, 1, 3, 0, den)
+
+    def test_class_without_primes_rejected_at_load(self, tmp_path):
+        bad = tmp_path / "bad.rules"
+        bad.write_text("4 0 0 1 0 1\n")  # every member is a multiple of 4
+        with pytest.raises(RuleViolationError, match="no primes found in class 0 mod 4"):
+            load_rules_from_path(bad)
+
+    def test_y_at_or_below_the_pole_rejected_at_load(self, tmp_path):
+        bad = tmp_path / "bad.rules"
+        bad.write_text("4 1 0 0 1 1\n")  # y = 1, so 4y - p < 0 for p = 5
+        with pytest.raises(RuleViolationError, match="at or below the pole for p = 5"):
+            load_rules_from_path(bad)
+
+    def test_checksum_mismatch_rejected(self, monkeypatch):
+        monkeypatch.setitem(RULE_CHECKSUMS, "theorem5.rules", "0" * 64)
+        load_rules.cache_clear()  # the shipped table is cached from import
+        try:
+            with pytest.raises(RuleViolationError, match="theorem5.rules checksum mismatch"):
+                load_rules("theorem5")
+        finally:
+            load_rules.cache_clear()
 
 
 class TestMatchRule:
@@ -113,6 +145,14 @@ class TestConstructSolution:
         rule = match_rule(THEOREM5, 6001)  # 6001 = 17 * 353
         with pytest.raises(ValueError, match="not prime"):
             construct_solution(rule, 6001)
+
+    def test_non_ib_triple_rejected(self, monkeypatch):
+        # _rule_solution always builds an I(b) triple, so a type II one
+        # (20, 284, 355) for p = 71 is slipped in to reach the check
+        monkeypatch.setattr(construct, "_rule_solution", lambda rule, p: (20, 284, 355))
+        rule = match_rule(THEOREM5, 71)
+        with pytest.raises(RuleViolationError, match="non-boundary-adjacent triple for p = 71"):
+            construct_solution(rule, 71)
 
     def test_all_matched_primes_to_100k_construct_ib(self):
         for p in primes_in(PrimeRange(2, 100_000)):

@@ -11,7 +11,6 @@ from straus.enumeration import (
     FAST_LIMIT,
     ORACLE_LIMIT,
     SolutionSet,
-    INT64_XMAX,
     enumerate_fast,
     enumerate_oracle,
     iter_range_solutions,
@@ -89,14 +88,14 @@ class TestProgressions:
     def test_equals_range_kernel_above_the_oracle(self, p, numpy_absent, monkeypatch):
         if numpy_absent:
             monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
-        kernel = [t.as_tuple() for t in iter_range_solutions([p])]
+        kernel = [(x, y, z) for _p, x, y, z in iter_range_solutions([p])]
         assert enumerate_fast(p).as_tuples() == kernel
 
     def test_columns_on_both_sides_of_the_divisor_switch_to_3000(self):
         primes = primes_in(PrimeRange(3, 3000))
         by_p = defaultdict(list)
-        for t in iter_range_solutions(primes):
-            by_p[t.p].append(t.as_tuple())
+        for p, x, y, z in iter_range_solutions(primes):
+            by_p[p].append((x, y, z))
         near_switch = Counter()
         for p in primes:
             assert enumerate_fast(p).as_tuples() == by_p[p], p
@@ -131,9 +130,11 @@ class TestRangeKernel:
         if numpy_absent:
             monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
         primes = primes_in(PrimeRange(2, 2000))
+        rows = list(iter_range_solutions(primes))
+        assert {type(v) for row in rows for v in row} == {int}
         by_p = defaultdict(list)
-        for t in iter_range_solutions(primes):
-            by_p[t.p].append(t.as_tuple())
+        for p, x, y, z in rows:
+            by_p[p].append((x, y, z))
         assert sorted(by_p) == primes
         for p in primes:
             assert by_p[p] == enumerate_fast(p).as_tuples(), p
@@ -143,14 +144,15 @@ class TestRangeKernel:
         whole = list(iter_range_solutions(primes))
         assert whole == [t for lo, hi in ((1, 150), (151, 151), (152, 450))
                          for t in iter_range_solutions(primes, lo, hi)]
-        assert [t.x for t in whole] == sorted(t.x for t in whole)
+        assert [row[1] for row in whole] == sorted(row[1] for row in whole)
 
     def test_empty_prime_list(self):
         assert list(iter_range_solutions([])) == []
 
-    def test_refuses_columns_past_int64(self):
-        with pytest.raises(OverflowError):
-            next(iter_range_solutions([2, 3], 1, INT64_XMAX + 1))
+    def test_row_failing_the_identity_raises(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "check_identity", lambda *row: False)
+        with pytest.raises(ValueError, match="not a solution: 4/17"):
+            next(iter_range_solutions([17]))
 
 
 class TestSolutionSet:

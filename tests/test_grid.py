@@ -86,6 +86,11 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(17, MAX_CELLS, 2)
 
+    @pytest.mark.parametrize("x_max, y_max", [(0, 5), (5, 0), (-1, -1)])
+    def test_rejects_bounds_below_one(self, x_max, y_max):
+        with pytest.raises(ValueError, match="bounds must be >= 1"):
+            build_grid(17, x_max, y_max)
+
 
 class TestRender:
     def test_ascii_17_has_exactly_the_four_pinks(self):

@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 import straus
-from straus import enumeration, parallel
+from straus import enumeration, parallel, stats
 from straus.core import offset_x
 from straus.enumeration import enumerate_fast
 from straus.parallel import pmap
 from straus.sieve import PrimeRange, primes_in
 from straus.stats import (
+    STATS_CEILING,
     DistTable,
     PerPrimeProportion,
     _x_blocks,
@@ -74,6 +75,15 @@ class TestDistribution:
         with pytest.raises(ValueError):
             DistTable(PrimeRange(2, 10), {1: 1, 2: 0, 3: 0, 4: 0, 5: 0}, 0, 5)
 
+    @pytest.mark.parametrize("counts", [
+        {1: 5, 2: 0, 3: 0, 4: 0},
+        {1: 5, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0},
+        {0: 5, 2: 0, 3: 0, 4: 0, 5: 0},
+    ])
+    def test_rejects_wrong_bucket_keys(self, counts):
+        with pytest.raises(ValueError, match="expected buckets"):
+            DistTable(PrimeRange(2, 10), counts, 0, 5)
+
 
 class TestRangeKernel:
     WINDOWS = [(2, 2), (3, 3), (1000, 1200), (4001, 4099)]
@@ -102,20 +112,24 @@ class TestRangeKernel:
         assert range_summary(r, workers=2) == expected
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_refuses_ranges_past_int64_before_sieving(self, workers, monkeypatch):
+    def test_refuses_ranges_past_the_ceiling_before_sieving(self, workers, monkeypatch):
+        def no_sieve(r):
+            raise AssertionError(f"sieved {r} past the ceiling")
+
         monkeypatch.setattr(enumeration, "_spf", [])
+        monkeypatch.setattr(stats, "primes_in", no_sieve)
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="int64 kernel bound"):
-            range_summary(PrimeRange(1_500_000_000, 1_500_000_100), workers=workers)
+        with pytest.raises(ValueError, match="stats desk-scale ceiling 1000000; "
+                                             r"try \[999900, 1000000\]"):
+            range_summary(PrimeRange(999_900, 1_500_000_000), workers=workers)
         assert time.perf_counter() - start < 1.0
         assert enumeration._spf == []
 
     def test_refusal_starts_right_past_the_bound(self):
-        last = 1_431_655_765  # 3 * last // 4 == INT64_XMAX; last is 5 * 286331153
-        assert 3 * last // 4 == enumeration.INT64_XMAX
-        assert distribution(PrimeRange(last, last)).total == 0
-        with pytest.raises(ValueError):
-            range_summary(PrimeRange(last + 1, last + 1))
+        assert STATS_CEILING == 10**6
+        assert distribution(PrimeRange(STATS_CEILING, STATS_CEILING)).total == 0
+        with pytest.raises(ValueError, match="ceiling 1000000$"):  # no subrange to suggest
+            range_summary(PrimeRange(STATS_CEILING + 1, STATS_CEILING + 1))
 
     @pytest.mark.parametrize("x_max, workers", [
         (1, 1), (1, 2), (7, 2), (199, 1), (200, 1), (201, 1), (4500, 1), (4500, 3),

@@ -148,6 +148,12 @@ class TestWitnessReport:
             WitnessReport(13, "conj3-y", 4, 1, t, 1)  # conj3-y witnesses y = 18
         assert WitnessReport(13, "conj5-x", 4, 1, t, 1).witness == 4
 
+    @pytest.mark.parametrize("scans", [0, -1])
+    def test_rejects_fewer_than_one_scan(self, scans):
+        t = Triple(13, 4, 18, 468)
+        with pytest.raises(ValueError, match="scanned at least once"):
+            WitnessReport(13, "conj5-x", 4, 1, t, scans)
+
 
 def _brute_window_scan(p, kind, lo, hi):
     """The witness definition spelled out: the first a in [lo, hi] whose
