@@ -15,46 +15,43 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 from .core import Triple, check_identity, next_boundary
-from .sieve import require_prime
+from .sieve import PrimeRange, primes_in, require_prime
 from .sink import write_to
 
 ORACLE_LIMIT = 10_000
-# enumerate_fast(9999991) takes 8.1 s on one core, 118 MiB peak RSS, with
-# _spf at 2.6 * 10**6 entries (2-vCPU box, Python 3.11); both grow like p.
+# `straus solve 9999991` takes 8-10 s on one core at 21 MiB peak RSS (2-vCPU
+# box, Python 3.11); the time grows like p, the memory stays flat.
 FAST_LIMIT = 10_000_000
 
 _BLOCK_CELLS = 1 << 18  # most (prime, divisor) pairs per numpy call
 
-# Smallest-prime-factor table, grown on demand; x never exceeds 3p/4 so this
-# stays desk-sized.
-_spf: list[int] = []
-
-
-def _ensure_spf(limit: int) -> None:
-    global _spf
-    if limit < len(_spf):
-        return
-    limit = max(limit, 2 * len(_spf), 1 << 10)
-    spf = list(range(limit + 1))
-    for i in range(2, isqrt(limit) + 1):
-        if spf[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-    _spf = spf
+# The largest column either enumerator factors: iter_solutions_fast lists
+# divisors only for x <= 8p/31 with p <= FAST_LIMIT, and the stats kernel
+# only for x <= 3 * STATS_CEILING / 4.  Every x up to it has at most one prime
+# factor above _TRIAL_PRIMES[-1] = 1601, so trial division factors it exactly.
+_FACTOR_LIMIT = 8 * FAST_LIMIT // 31
+_TRIAL_PRIMES = tuple(primes_in(PrimeRange(2, isqrt(_FACTOR_LIMIT))))
 
 
 def _square_divisors(x: int) -> tuple[int, ...]:
     """All divisors of x**2, from the factorization of x (unsorted)."""
-    _ensure_spf(x)
-    divs = [1]
+    if x > _FACTOR_LIMIT:
+        raise ValueError(f"x = {x} exceeds the factoring bound {_FACTOR_LIMIT}")
+    factors = []
     n = x
-    while n > 1:
-        q = _spf[n]
-        e = 0
-        while n % q == 0:
-            n //= q
-            e += 1
+    for q in _TRIAL_PRIMES:
+        if q * q > n:
+            break
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            factors.append((q, e))
+    if n > 1:
+        factors.append((n, 1))
+    divs = [1]
+    for q, e in factors:
         qk = [q**k for k in range(1, 2 * e + 1)]
         divs += [d * f for d in divs for f in qk]
     return tuple(divs)
@@ -139,7 +136,6 @@ def iter_solutions_fast(p: int) -> Iterator[Triple]:
     if p > FAST_LIMIT:
         raise ValueError(f"p = {p} exceeds the enumeration ceiling {FAST_LIMIT}")
     last_listed = 1 if p == 2 else (8 * p - 1) // 31  # last x with x > 8(4x - p)
-    _ensure_spf(last_listed)
     k = -p % 4  # r = 4x - p = k (mod 4)
     for x in range(p // 4 + 1, (3 * p) // 4 + 1):
         r = 4 * x - p

@@ -26,7 +26,9 @@ BUCKETS = (1, 2, 3, 4, 5)
 OVERFLOW = "overflow"
 
 # Desk-scale ceiling, like sweep's: time grows about as hi**1.7 from 2, yet
-# [999900, 10**6] takes 29.6 s at 77 MiB peak RSS on one worker (2-vCPU box).
+# [999900, 10**6] takes 24-29 s at 35 MiB peak RSS on one worker (2-vCPU
+# box).  Its columns, x <= 3 * STATS_CEILING / 4, stay inside the bound that
+# enumeration._square_divisors factors exactly.
 STATS_CEILING = 1_000_000
 
 

@@ -48,7 +48,7 @@ class TestSolve:
         assert code == 2
         assert "enumeration ceiling" in err
 
-    def test_envelope_overflow_has_own_status(self, capsys):
+    def test_solutions_past_128_bits_exit_zero(self, capsys):
         # p = 150011 has solutions with p*x*y*z above 2**127; exact integers take them
         code, out, _ = run(capsys, "solve", "150011")
         assert code == 0

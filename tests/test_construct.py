@@ -4,7 +4,6 @@ from math import gcd, lcm
 
 import pytest
 
-from straus import construct
 from straus.construct import (
     RULE_CHECKSUMS,
     ResidueRule,
@@ -145,14 +144,6 @@ class TestConstructSolution:
         rule = match_rule(THEOREM5, 6001)  # 6001 = 17 * 353
         with pytest.raises(ValueError, match="not prime"):
             construct_solution(rule, 6001)
-
-    def test_non_ib_triple_rejected(self, monkeypatch):
-        # _rule_solution always builds an I(b) triple, so a type II one
-        # (20, 284, 355) for p = 71 is slipped in to reach the check
-        monkeypatch.setattr(construct, "_rule_solution", lambda rule, p: (20, 284, 355))
-        rule = match_rule(THEOREM5, 71)
-        with pytest.raises(RuleViolationError, match="non-boundary-adjacent triple for p = 71"):
-            construct_solution(rule, 71)
 
     def test_all_matched_primes_to_100k_construct_ib(self):
         for p in primes_in(PrimeRange(2, 100_000)):

@@ -2,6 +2,7 @@ import io
 import sys
 import time
 from collections import Counter, defaultdict
+from math import isqrt
 
 import pytest
 
@@ -11,12 +12,14 @@ from straus.enumeration import (
     FAST_LIMIT,
     ORACLE_LIMIT,
     SolutionSet,
+    _square_divisors,
     enumerate_fast,
     enumerate_oracle,
     iter_range_solutions,
     write_solutions_csv,
 )
 from straus.sieve import PrimeRange, is_prime, primes_in
+from straus.stats import STATS_CEILING, range_summary
 
 # 10009 and 110017 are 1 (mod 24); 14159 is 3 (mod 4), so its first column
 # has r = 4x - p = 1, while the others' first columns have r = 3.
@@ -107,21 +110,45 @@ class TestProgressions:
                     near_switch[x <= last_listed] += 1
         assert near_switch[True] > 50 and near_switch[False] > 50, near_switch
 
-    def test_refuses_primes_past_the_ceiling_before_sieving(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "_spf", [])
+    def test_refuses_primes_past_the_ceiling_before_sieving(self):
         p = next(q for q in range(FAST_LIMIT + 1, 2 * FAST_LIMIT) if is_prime(q))
         table = len(sieve._table)
         start = time.perf_counter()
         with pytest.raises(ValueError, match="enumeration ceiling"):
             enumerate_fast(p)
         assert time.perf_counter() - start < 1.0
-        assert enumeration._spf == []
         assert len(sieve._table) == table
 
-    def test_factor_table_stops_near_a_quarter_of_p(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "_spf", [])
-        enumerate_fast(60013)
-        assert len(enumeration._spf) < 0.26 * 60013
+    def test_square_divisors_match_an_independent_factorization(self):
+        def divisors(n):
+            small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+            return set(small) | {n // d for d in small}
+
+        # 1601**2 is the largest square of a trial prime, 1601 * 1607 has a
+        # cofactor past it, and 2580642 is the last listed column of 9999991.
+        for x in [*range(1, 20_001), 1601**2, 1601 * 1607, 2_580_642,
+                  enumeration._FACTOR_LIMIT]:
+            dx = divisors(x)
+            assert sorted(_square_divisors(x)) == sorted({a * b for a in dx for b in dx}), x
+
+    def test_factoring_bound_covers_both_enumerators(self):
+        # enumerate_fast lists x <= (8p - 1) // 31; the stats kernel x <= 3p/4
+        assert (8 * FAST_LIMIT - 1) // 31 <= enumeration._FACTOR_LIMIT
+        assert 3 * STATS_CEILING // 4 <= enumeration._FACTOR_LIMIT
+        # the smallest x with two prime factors past the trial primes
+        assert enumeration._FACTOR_LIMIT < 1607**2
+        with pytest.raises(ValueError, match="factoring bound 2580645"):
+            _square_divisors(enumeration._FACTOR_LIMIT + 1)
+
+    def test_enumeration_leaves_module_state_untouched(self):
+        def state():
+            return {k: repr(v) for k, v in vars(enumeration).items()
+                    if not k.startswith("__")}
+
+        before = state()
+        assert len(enumerate_fast(199999)) > 0
+        assert range_summary(PrimeRange(2, 3000), workers=1)[0].total > 0
+        assert state() == before
 
 
 class TestRangeKernel:

@@ -66,6 +66,10 @@ class TestPrimesIn:
         full = primes_in(PrimeRange(2, 3000), segment_size=segment_size)
         assert full == primes_in(PrimeRange(2, 3000))
 
+    def test_segment_size_below_two_rejected(self):
+        with pytest.raises(ValueError, match="segment_size must be >= 2, got 1"):
+            primes_in(PrimeRange(2, 100), segment_size=1)
+
     def test_concatenation_of_subranges(self):
         split = primes_in(PrimeRange(2, 1500)) + primes_in(PrimeRange(1501, 3000))
         assert split == primes_in(PrimeRange(2, 3000))

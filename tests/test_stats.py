@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import straus
-from straus import enumeration, parallel, stats
+from straus import parallel, stats
 from straus.core import offset_x
 from straus.enumeration import enumerate_fast
 from straus.parallel import pmap
@@ -116,14 +116,12 @@ class TestRangeKernel:
         def no_sieve(r):
             raise AssertionError(f"sieved {r} past the ceiling")
 
-        monkeypatch.setattr(enumeration, "_spf", [])
         monkeypatch.setattr(stats, "primes_in", no_sieve)
         start = time.perf_counter()
         with pytest.raises(ValueError, match="stats desk-scale ceiling 1000000; "
                                              r"try \[999900, 1000000\]"):
             range_summary(PrimeRange(999_900, 1_500_000_000), workers=workers)
         assert time.perf_counter() - start < 1.0
-        assert enumeration._spf == []
 
     def test_refusal_starts_right_past_the_bound(self):
         assert STATS_CEILING == 10**6

@@ -25,6 +25,7 @@ from straus.verify import (
     verify_type_Ia_exists,
     verify_type_Ib_exists,
     witness_divisibility_x,
+    witness_divisibility_y,
     write_ledger_csv,
 )
 
@@ -102,6 +103,11 @@ class TestConj5Witness:
         # q - m = 2 divides 4 and gcd(10, 7) = 1, yet (4, 7, 10*lcm(4, 7)) fails
         assert not check_identity(10, 4, 7, 280)
         assert not witness_divisibility_x(10, 4)
+
+    def test_predicates_false_at_or_below_the_pole(self):
+        # q = 4a - p is -1 and -5: no partner b = ceil(pa/q) exists
+        assert not witness_divisibility_y(17, 4)
+        assert not witness_divisibility_x(17, 3)
 
     def test_find_13(self):
         report = find_conj5_witness(13)
