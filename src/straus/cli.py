@@ -2,7 +2,8 @@
 
 Every subcommand is a thin adapter over the library; there is no randomness
 anywhere, so repeated runs are byte-identical.  Exit status: 0 on success,
-1 when --strict and a sweep found exceptions, 2 on usage errors.
+1 when --strict and a sweep found exceptions, 2 on usage errors and on an
+--out path that cannot be written.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, construct_mod.RuleViolationError) as exc:
+    except (ValueError, OSError, construct_mod.RuleViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,10 @@
-"""Complete per-prime solution sets, two ways.
+"""Complete solution sets, three ways.
 
-enumerate_oracle sweeps the whole (x, y) search region and is deliberately
-naive; enumerate_fast reformulates each x-column as a divisor-pair problem
-and must return the identical set.  The oracle exists so the fast path can be
-checked against it wholesale.
+enumerate_oracle sweeps one prime's whole (x, y) search region and is
+deliberately naive; enumerate_fast reformulates each x-column as a
+divisor-pair problem, and iter_range_solutions runs those columns over a
+whole list of primes for stats.  Both must reproduce the oracle, which exists
+so they can be checked against it wholesale.
 """
 
 from __future__ import annotations
@@ -175,23 +176,19 @@ def iter_range_solutions(
 
     iter_solutions_fast with its loops swapped: the divisors of x**2 are
     formed once per x-column and tested against all the column's primes
-    (p/4 < x <= 3p/4) in one block.  Since p = 4x (mod r), the tests
-    r | px + d and r | px + dp read r | 4x**2 + d and r | 4x(x + d), whose
-    left sides do not depend on p and stay at most 8 * x**2, an int64 (about
-    4.5 * 10**12 at stats' ceiling).  numpy, when importable, runs each
-    block's divisibility test as one vector operation, else plain Python
-    does.  Each hit is checked with check_identity and a failure raises;
-    y >= x (the filter on d), z >= y (d <= px) and the window (the column's
-    prime slice) hold by construction.
+    (p/4 < x <= 3p/4).  Since p = 4x (mod r), the tests r | px + d and
+    r | px + dp read r | 4x**2 + d and r | 4x(x + d), whose left sides do not
+    depend on p and stay at most 8 * x**2, an int64 (about 4.5 * 10**12 at
+    stats' ceiling).  numpy runs them as one vector operation per block of at
+    most _BLOCK_CELLS (prime, test) cells.  Each hit is checked with
+    check_identity and a failure raises; y >= x (the filter on d), z >= y
+    (d <= px) and the window (the column's prime slice) hold by construction.
     """
-    try:
-        import numpy as np
-    except ImportError:
-        np = None
+    import numpy as np  # here, not at module level: import straus stays numpy-free
 
     if x_hi is None:
         x_hi = 3 * primes[-1] // 4 if primes else 0
-    ps = np.array(primes, dtype=np.int64) if np else None
+    ps = np.array(primes, dtype=np.int64)
     for x in range(x_lo, x_hi + 1):
         first = bisect_left(primes, (4 * x + 2) // 3)  # p >= 4x/3
         stop = bisect_left(primes, 4 * x, first)  # p < 4x
@@ -199,19 +196,14 @@ def iter_range_solutions(
             continue
         divs = _square_divisors(x)
         small = [d for d in divs if d <= x]
-        tests = [4 * x * x + d for d in divs] + [4 * x * (x + d) for d in small]
+        tests = np.array([4 * x * x + d for d in divs] + [4 * x * (x + d) for d in small],
+                         dtype=np.int64)
         width = len(tests)
-        if np:
-            tests = np.array(tests, dtype=np.int64)
         cols = []
         step = max(1, _BLOCK_CELLS // width)
         for lo in range(first, stop, step):
             hi = min(lo + step, stop)
-            if np:
-                hits = np.flatnonzero(tests % (4 * x - ps[lo:hi, None]) == 0).tolist()
-            else:
-                hits = [i * width + j for i, r in enumerate(4 * x - p for p in primes[lo:hi])
-                        for j, t in enumerate(tests) if not t % r]
+            hits = np.flatnonzero(tests % (4 * x - ps[lo:hi, None]) == 0).tolist()
             for k in hits:
                 i, j = divmod(k, width)
                 p = primes[lo + i]

@@ -39,10 +39,10 @@ def sampled_pmap(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> 
     more than a pool costs.
 
     Two disjoint samples of every k-th item run here first.  The first warms
-    the tables that later items reuse (the smallest-prime-factor table, the
-    sieve); the second is timed, and the rest is projected at its pace.  The
-    samples are strided over the whole list, not its head, because a sweep's
-    items are ascending primes that cost more as p grows.
+    the is_prime table (sieve._table) that later items reuse; the second is
+    timed, and the rest is projected at its pace.  The samples are strided
+    over the whole list, not its head, because a sweep's items are ascending
+    primes that cost more as p grows.
     """
     if workers <= 1 or len(items) < _MIN_PARALLEL_ITEMS:
         return [fn(item) for item in items]

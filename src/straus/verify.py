@@ -48,6 +48,10 @@ CLAIM_CEILINGS = {
     "conj5-pattern": 10_000_000,
 }
 
+# The conj3 witness scan has no early bound: on the ten primes below 10^9 it
+# took 0.6-171 s (2.9 * 10^6 to 3.6 * 10^8 candidates; 2-vCPU box, Python
+# 3.11), so larger p are refused.  conj5's stops within 3 candidates to 10^15.
+CONJ3_WITNESS_CEILING = 1_000_000_000
 
 # The rule table that builds each claim's solution shape from p's residue class.
 _CLAIM_RULES = {"conj2": "theorem5", "conj3-pattern": "conjecture3-table"}
@@ -162,6 +166,8 @@ def _scan_window(p: int, kind: str, lo: int, hi: int) -> WitnessReport | None:
 def find_conj3_witness(p: int) -> WitnessReport | None:
     """First y in the window passing the witness predicate, with its triple."""
     require_prime(p)
+    if p > CONJ3_WITNESS_CEILING:
+        raise ValueError(f"p = {p} exceeds the conj3 witness ceiling {CONJ3_WITNESS_CEILING}")
     return _scan_window(p, "conj3-y", *conj3_window(p))
 
 

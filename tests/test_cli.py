@@ -115,6 +115,13 @@ class TestVerify:
         _, out, _ = run(capsys, "verify", "conj1", "--to", "1000")  # p* = 2521
         assert "exceptions above" not in out
 
+    def test_unwritable_ledger_is_usage_error(self, capsys, tmp_path):
+        dest = tmp_path / "missing" / "ledger.csv"
+        code, _, err = run(capsys, "verify", "conj1", "--to", "1000", "--strict",
+                           "--out", str(dest))
+        assert code == 2  # not 1, which means the sweep found exceptions
+        assert err.startswith("error: ") and "missing" in err
+
     def test_unknown_claim_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "conj9"])
@@ -185,6 +192,13 @@ class TestConstructAndWitness:
         assert "witness=15" in out
         assert "triple=(6,15,510)" in out
 
+    def test_witness_conj3_past_its_ceiling_is_usage_error(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "witness", "conj3", "1000000000039")
+        assert code == 2
+        assert "conj3 witness ceiling" in err
+        assert time.perf_counter() - start < 1.0
+
     def test_witness_absent(self, capsys):
         code, out, _ = run(capsys, "witness", "conj5", "47")
         assert code == 0
@@ -214,6 +228,11 @@ class TestGrid:
         assert main(argv + ["--out", str(dest)]) == 0
         assert capsysbinary.readouterr().out == b""
         assert dest.read_bytes() == stdout
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "grid", "17", "--out", str(tmp_path / "missing" / "g.txt"))
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
 
     def test_out_file_renders_once(self, capsys, tmp_path, monkeypatch):
         from straus import grid

@@ -1,5 +1,4 @@
 import io
-import sys
 import time
 from collections import Counter, defaultdict
 from math import isqrt
@@ -86,11 +85,9 @@ class TestFast:
 
 
 class TestProgressions:
-    @pytest.mark.parametrize("numpy_absent", [False, True], ids=["numpy", "no-numpy"])
-    @pytest.mark.parametrize("p", ABOVE_ORACLE)
-    def test_equals_range_kernel_above_the_oracle(self, p, numpy_absent, monkeypatch):
-        if numpy_absent:
-            monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
+    # the ids name the engine compared with enumerate_fast: the numpy kernel
+    @pytest.mark.parametrize("p", ABOVE_ORACLE, ids=lambda p: f"{p}-numpy")
+    def test_equals_range_kernel_above_the_oracle(self, p):
         kernel = [(x, y, z) for _p, x, y, z in iter_range_solutions([p])]
         assert enumerate_fast(p).as_tuples() == kernel
 
@@ -152,11 +149,8 @@ class TestProgressions:
 
 
 class TestRangeKernel:
-    @pytest.mark.parametrize("numpy_absent", [False, True], ids=["numpy", "no-numpy"])
-    def test_equals_fast_for_every_prime_to_2000(self, numpy_absent, monkeypatch):
-        if numpy_absent:
-            monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
-        primes = primes_in(PrimeRange(2, 2000))
+    @pytest.mark.parametrize("primes", [primes_in(PrimeRange(2, 2000))], ids=["numpy"])
+    def test_equals_fast_for_every_prime_to_2000(self, primes):
         rows = list(iter_range_solutions(primes))
         assert {type(v) for row in rows for v in row} == {int}
         by_p = defaultdict(list)
@@ -172,6 +166,20 @@ class TestRangeKernel:
         assert whole == [t for lo, hi in ((1, 150), (151, 151), (152, 450))
                          for t in iter_range_solutions(primes, lo, hi)]
         assert [row[1] for row in whole] == sorted(row[1] for row in whole)
+
+    def test_split_columns_yield_the_same_rows(self, monkeypatch):
+        import numpy
+
+        # the kernel makes one flatnonzero call per block of a column's primes
+        calls = []
+        flatnonzero = numpy.flatnonzero
+        monkeypatch.setattr(numpy, "flatnonzero", lambda a: calls.append(a.shape) or flatnonzero(a))
+        primes = primes_in(PrimeRange(2, 1000))
+        whole = list(iter_range_solutions(primes))
+        columns = len(calls)  # no column reaches _BLOCK_CELLS cells here
+        monkeypatch.setattr(enumeration, "_BLOCK_CELLS", 256)
+        assert list(iter_range_solutions(primes)) == whole
+        assert len(calls) - columns > columns, "no column split into blocks"
 
     def test_empty_prime_list(self):
         assert list(iter_range_solutions([])) == []

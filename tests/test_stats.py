@@ -104,13 +104,6 @@ class TestRangeKernel:
         for i in range(5):
             assert table.counts[i + 1] == sum(b[i] for _, b, _ in rows)
 
-    def test_falls_back_without_numpy(self, monkeypatch):
-        r = PrimeRange(1000, 1200)
-        expected = range_summary(r, workers=1)
-        monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
-        assert range_summary(r, workers=1) == expected
-        assert range_summary(r, workers=2) == expected
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_refuses_ranges_past_the_ceiling_before_sieving(self, workers, monkeypatch):
         def no_sieve(r):

@@ -1,4 +1,5 @@
 import io
+import time
 from math import gcd, lcm
 
 import pytest
@@ -68,6 +69,13 @@ class TestConj3Witness:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             find_conj3_witness(15)
+
+    def test_refuses_primes_past_the_ceiling_before_scanning(self):
+        assert verify.CONJ3_WITNESS_CEILING == 10**9
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="conj3 witness ceiling 1000000000"):
+            find_conj3_witness(1_000_000_007)
+        assert time.perf_counter() - start < 1.0
 
     def test_derived_triples_are_ib_for_small_primes(self):
         for p in primes_in(PrimeRange(2, 1000)):
