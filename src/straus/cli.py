@@ -2,8 +2,9 @@
 
 Every subcommand is a thin adapter over the library; there is no randomness
 anywhere, so repeated runs are byte-identical.  Exit status: 0 on success,
-1 when --strict and a sweep found exceptions, 2 on usage errors and on an
---out path that cannot be written.
+1 when --strict and a sweep found exceptions, 2 on usage errors (a --workers
+outside [1, available parallelism] among them) and on an --out path that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -79,6 +80,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _workers(args: argparse.Namespace) -> int:
+    """--workers, default the available parallelism; more would only fork
+    processes that share the same cores."""
+    limit = default_workers()
+    if args.workers is None:
+        return limit
+    if not 1 <= args.workers <= limit:
+        raise ValueError(f"--workers must be in [1, {limit}], got {args.workers}")
+    return args.workers
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     solutions = enumerate_fast(args.p)
     print(f"# p={args.p}: {len(solutions)} solutions")
@@ -107,7 +119,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    workers = args.workers if args.workers is not None else default_workers()
+    workers = _workers(args)
     r = PrimeRange(args.lo, args.hi)
     table, series = stats_mod.range_summary(r, workers=workers)
     if args.out:
@@ -123,7 +135,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    workers = args.workers if args.workers is not None else default_workers()
+    workers = _workers(args)
     r = PrimeRange(args.lo, args.hi)
     ledger = verify_mod.sweep(args.claim, r, workers=workers,
                               store_witnesses=args.witnesses)

@@ -2,8 +2,8 @@
 
 The tables live as plain-text data files (one rule per line, checksummed) so
 every row can be audited against its formula instead of being buried in code.
-Loading a table re-derives the divisibility promise of every rule on sampled
-primes before the set is accepted.
+Loading a table builds every rule's solution on sampled primes before the
+set is accepted.
 """
 
 from __future__ import annotations
@@ -117,16 +117,13 @@ def _sample_primes(modulus: int, residue: int, count: int) -> list[int]:
 
 
 def _validate_rule(rule: ResidueRule) -> None:
-    """Check the rule's divisibility and domain promises on sampled primes."""
+    """Build the rule's solution for sampled primes; _rule_solution raises on
+    broken divisibility, a y at or below the pole or a non-integral z."""
     samples = _sample_primes(rule.modulus, rule.residue, _VALIDATION_SAMPLES)
     if not samples:
         raise RuleViolationError(f"no primes found in class {rule.label()}")
     for p in samples:
-        y = rule.evaluate(p)  # raises on broken divisibility
-        if 4 * y - p <= 0:
-            raise RuleViolationError(
-                f"rule {rule.label()} puts y = {y} at or below the pole for p = {p}"
-            )
+        _rule_solution(rule, p)
 
 
 def _parse_rules(text: str, provenance: str) -> RuleSet:
@@ -190,7 +187,9 @@ def _rule_solution(rule: ResidueRule, p: int) -> tuple[int, int, int]:
     y = rule.evaluate(p)
     q = 4 * y - p
     if q <= 0:
-        raise RuleViolationError(f"y = {y} at or below the pole for p = {p}")
+        raise RuleViolationError(
+            f"rule {rule.label()} puts y = {y} at or below the pole for p = {p}"
+        )
     x = p * y // q + 1
     z, rem = divmod(p * x * y, 4 * x * y - p * (x + y))
     if rem:

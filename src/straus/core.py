@@ -21,6 +21,12 @@ def check_identity(p: int, x: int, y: int, z: int) -> bool:
     return 4 * x * y * z == p * (x * y + y * z + z * x)
 
 
+def require_solution(p: int, x: int, y: int, z: int) -> None:
+    """Raise ValueError unless check_identity(p, x, y, z) holds."""
+    if not check_identity(p, x, y, z):
+        raise ValueError(f"not a solution: 4/{p} != 1/{x} + 1/{y} + 1/{z}")
+
+
 @dataclass(frozen=True)
 class BoundaryValue:
     """The exact rational p*a/(4a - p) as a (num, den) pair with den > 0.
@@ -48,10 +54,7 @@ class BoundaryValue:
 
 def boundary(p: int, a: int) -> BoundaryValue:
     """Exact boundary value p*a/(4a - p); requires 4a > p (above the pole)."""
-    den = 4 * a - p
-    if den <= 0:
-        raise ValueError(f"boundary undefined: 4*{a} - {p} = {den} <= 0")
-    return BoundaryValue(p * a, den)
+    return BoundaryValue(p * a, 4 * a - p)
 
 
 def next_boundary(p: int, a: int) -> int:
@@ -60,8 +63,12 @@ def next_boundary(p: int, a: int) -> int:
     Equals ceil(p*a/(4a-p)) whenever (4a-p) does not divide p*a, which holds
     for every coordinate of an actual solution with odd prime p (p = 2 is the
     lone exception: its solution (1, 2, 2) sits on an integral boundary).
+    Requires 4a > p, like boundary.
     """
-    return boundary(p, a).floor() + 1
+    den = 4 * a - p
+    if den <= 0:
+        raise ValueError(f"boundary undefined: 4*{a} - {p} = {den} <= 0")
+    return p * a // den + 1
 
 
 @dataclass(frozen=True)
@@ -82,8 +89,7 @@ class Triple:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)
-        if not check_identity(self.p, x, y, z):
-            raise ValueError(f"not a solution: 4/{self.p} != 1/{x} + 1/{y} + 1/{z}")
+        require_solution(self.p, x, y, z)
         if not (self.p < 4 * x and 4 * x <= 3 * self.p):
             raise ValueError(f"x = {x} outside the forced window (p/4, 3p/4] for p = {self.p}")
 

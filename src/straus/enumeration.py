@@ -15,7 +15,7 @@ from math import isqrt
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
-from .core import Triple, check_identity, next_boundary
+from .core import Triple, next_boundary, require_solution
 from .sieve import PrimeRange, primes_in, require_prime
 from .sink import write_to
 
@@ -119,7 +119,16 @@ def enumerate_oracle(p: int) -> SolutionSet:
 
 
 def iter_solutions_fast(p: int) -> Iterator[Triple]:
-    """Yield all solutions for p in (x, y) lexicographic order.
+    """Yield all solutions for p in (x, y) lexicographic order, as Triples."""
+    for x, y, z in _solution_rows(p):
+        yield Triple(p, x, y, z)
+
+
+def _solution_rows(p: int) -> Iterator[tuple[int, int, int]]:
+    """The solutions for p as (x, y, z) ints in (x, y) order.
+
+    Each row is checked with require_solution; x <= y <= z and the window
+    p/4 < x <= 3p/4 hold by construction.
 
     Per x-column 1/y + 1/z = r/N with r = 4x - p and N = px, so solutions
     correspond to divisor pairs d*e = N**2 with d <= N and r | (N + d),
@@ -165,7 +174,8 @@ def iter_solutions_fast(p: int) -> Iterator[Triple]:
             n2 = n * n
             cols = sorted(((n + d) // r, (n + n2 // d) // r) for d in hits)
             for y, z in cols:
-                yield Triple(p, x, y, z)
+                require_solution(p, x, y, z)
+                yield x, y, z
 
 
 def iter_range_solutions(
@@ -181,8 +191,8 @@ def iter_range_solutions(
     depend on p and stay at most 8 * x**2, an int64 (about 4.5 * 10**12 at
     stats' ceiling).  numpy runs them as one vector operation per block of at
     most _BLOCK_CELLS (prime, test) cells.  Each hit is checked with
-    check_identity and a failure raises; y >= x (the filter on d), z >= y
-    (d <= px) and the window (the column's prime slice) hold by construction.
+    require_solution; y >= x (the filter on d), z >= y (d <= px) and the
+    window (the column's prime slice) hold by construction.
     """
     import numpy as np  # here, not at module level: import straus stays numpy-free
 
@@ -212,8 +222,7 @@ def iter_range_solutions(
                     n, q = p * x, 4 * x - p
                     cols.append((p, (n + d) // q, (n + n * n // d) // q))
         for p, y, z in sorted(cols):
-            if not check_identity(p, x, y, z):
-                raise ValueError(f"not a solution: 4/{p} != 1/{x} + 1/{y} + 1/{z}")
+            require_solution(p, x, y, z)
             yield p, x, y, z
 
 

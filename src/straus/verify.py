@@ -12,6 +12,11 @@ A sweep returns an exception ledger: the primes in range for which the claim
 fails, plus (optionally) the first witness per passing prime.  conj2 and
 conj3-pattern first try the solution their rule table builds for the prime
 (_certified); only the primes the table misses are enumerated.
+
+Every claim check works on plain integers: the enumerated (x, y, z) rows of
+enumeration._solution_rows, the (witness, partner, scans) of _scan_window and
+_pattern_y.  Each row and each found witness is checked in exact integers.
+Only a stored or printed witness becomes a WitnessReport with its Triple.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from pathlib import Path
 from typing import IO
 
 from .construct import RuleViolationError, _rule_solution, load_rules, match_rule
-from .core import Triple, check_identity, next_boundary, offset_x
-from .enumeration import iter_solutions_fast
+from .core import Triple, check_identity, next_boundary, offset_x, require_solution
+from .enumeration import _solution_rows
 from .parallel import sampled_pmap
 from .sieve import PrimeRange, primes_in, require_prime
 from .sink import write_to
@@ -38,7 +43,7 @@ CLAIMS = ("conj1", "conj2", "conj3-pattern", "conj5-pattern")
 # Desk-scale ceilings: refuse sweeps whose worst case would blow the time
 # budget instead of silently grinding.  A whole CLI sweep from 2 to its
 # ceiling on one worker (2-vCPU box, Python 3.11, median of three): conj1
-# 24.4 s, conj2 17.2 s, conj5-pattern 19.9 s.  conj3-pattern takes 16 s to
+# 17.6 s, conj2 17.2 s, conj5-pattern 5.8 s.  conj3-pattern takes 16 s to
 # 10^7 without witnesses, but --witnesses enumerates every prime at about
 # 1 ms/prime near 10^7, so its ceiling stays 10^6 (7.4 s with witnesses).
 CLAIM_CEILINGS = {
@@ -48,10 +53,11 @@ CLAIM_CEILINGS = {
     "conj5-pattern": 10_000_000,
 }
 
-# The conj3 witness scan has no early bound: on the ten primes below 10^9 it
-# took 0.6-171 s (2.9 * 10^6 to 3.6 * 10^8 candidates; 2-vCPU box, Python
-# 3.11), so larger p are refused.  conj5's stops within 3 candidates to 10^15.
-CONJ3_WITNESS_CEILING = 1_000_000_000
+# The conj3 witness scan has no early bound: on the ten primes below 10^7 it
+# examines up to 4.3 * 10^6 candidates (2.4 s for all ten), below 10^9 up to
+# 3.6 * 10^8 (171 s for one; 2-vCPU box, Python 3.11), so larger p are
+# refused.  conj5's stops within 3 candidates to 10^15.
+CONJ3_WITNESS_CEILING = 10_000_000
 
 # The rule table that builds each claim's solution shape from p's residue class.
 _CLAIM_RULES = {"conj2": "theorem5", "conj3-pattern": "conjecture3-table"}
@@ -149,8 +155,9 @@ def check_conj5_witness(p: int, x: int) -> bool:
     return witness_divisibility_x(p, x)
 
 
-def _scan_window(p: int, kind: str, lo: int, hi: int) -> WitnessReport | None:
-    """First a in [lo, hi] with an lcm partner, reported with its triple.
+def _scan_window(p: int, lo: int, hi: int) -> tuple[int, int, int] | None:
+    """(a, b, scans): the first a in [lo, hi] with an lcm partner b, found
+    after examining `scans` candidates.
 
     p is prime, and a solution (a, b, p*lcm(a, b)) has p dividing neither a
     nor b, so the gcd clauses of both witness predicates hold by themselves.
@@ -158,9 +165,17 @@ def _scan_window(p: int, kind: str, lo: int, hi: int) -> WitnessReport | None:
     for a in range(lo, hi + 1):
         b = _lcm_partner(p, a)
         if b is not None:
-            derived = Triple(p, a, b, p * lcm(a, b))
-            return WitnessReport(p, kind, a, p * a % (4 * a - p), derived, a - lo + 1)
+            return a, b, a - lo + 1
     return None
+
+
+def _report(p: int, kind: str, found: tuple[int, int, int] | None) -> WitnessReport | None:
+    """found = (witness, lcm partner, scans) as a WitnessReport; its Triple
+    checks the identity in exact integers."""
+    if found is None:
+        return None
+    a, b, scans = found
+    return WitnessReport(p, kind, a, p * a % (4 * a - p), Triple(p, a, b, p * lcm(a, b)), scans)
 
 
 def find_conj3_witness(p: int) -> WitnessReport | None:
@@ -168,13 +183,13 @@ def find_conj3_witness(p: int) -> WitnessReport | None:
     require_prime(p)
     if p > CONJ3_WITNESS_CEILING:
         raise ValueError(f"p = {p} exceeds the conj3 witness ceiling {CONJ3_WITNESS_CEILING}")
-    return _scan_window(p, "conj3-y", *conj3_window(p))
+    return _report(p, "conj3-y", _scan_window(p, *conj3_window(p)))
 
 
 def find_conj5_witness(p: int) -> WitnessReport | None:
     """First x in the window passing the witness predicate, with its triple."""
     require_prime(p)
-    return _scan_window(p, "conj5-x", *conj5_window(p))
+    return _report(p, "conj5-x", _scan_window(p, *conj5_window(p)))
 
 
 def verify_type_Ia_exists(p: int) -> bool:
@@ -198,22 +213,20 @@ def verify_type_Ia_exists(p: int) -> bool:
 
 def verify_type_Ib_exists(p: int) -> bool:
     """Does some solution sit one step above the boundary in x?"""
-    require_prime(p)
-    for t in iter_solutions_fast(p):
-        if offset_x(p, t.x, t.y) == 1:
-            return True
-    return False
+    return any(offset_x(p, x, y) == 1 for x, y, _z in _solution_rows(p))
 
 
-def _pattern_y_report(p: int) -> WitnessReport | None:
-    """First enumerated solution with the lcm pattern on the y side.
+def _pattern_y(p: int) -> tuple[int, int, int] | None:
+    """(y, x, scans) for the first enumerated solution (x, y, z) whose x is
+    the lcm partner of y, `scans` solutions into (x, y) order.
 
     Unlike find_conj3_witness this is not window-bounded: it quantifies over
     actual solutions, which is the form the whole-range claim takes.
+    gcd(p, y) = 1 needs no test (see _scan_window).
     """
-    for scans, t in enumerate(iter_solutions_fast(p), 1):
-        if gcd(p, t.y) == 1 and _lcm_partner(p, t.y) == t.x:
-            return WitnessReport(p, "conj3-y", t.y, p * t.y % (4 * t.y - p), t, scans)
+    for scans, (x, y, _z) in enumerate(_solution_rows(p), 1):
+        if _lcm_partner(p, y) == x:
+            return y, x, scans
     return None
 
 
@@ -248,16 +261,25 @@ def _check_claim(claim: str, store: bool, p: int) -> tuple[int, bool, WitnessRep
 
     conj2 and conj3-pattern try the rule certificate first and enumerate only
     when it fails; a stored conj3 witness is still the first solution in
-    (x, y) order, so that path always enumerates.
+    (x, y) order, so that path always enumerates.  Only a stored witness is
+    built as a WitnessReport, whose Triple checks it; otherwise enumerated
+    rows are checked by _solution_rows and a conj5 witness here.
     """
     if claim == "conj1":
         return p, verify_type_Ia_exists(p), None
     if claim == "conj2":
         return p, _certified(claim, p) or verify_type_Ib_exists(p), None
-    if claim == "conj3-pattern" and not store and _certified(claim, p):
-        return p, True, None
-    report = _pattern_y_report(p) if claim == "conj3-pattern" else find_conj5_witness(p)
-    return p, report is not None, report if store else None
+    if store:
+        report = (_report(p, "conj3-y", _pattern_y(p)) if claim == "conj3-pattern"
+                  else find_conj5_witness(p))
+        return p, report is not None, report
+    if claim == "conj3-pattern":
+        return p, _certified(claim, p) or _pattern_y(p) is not None, None
+    found = _scan_window(p, *conj5_window(p))
+    if found is not None:
+        x, y, _scans = found
+        require_solution(p, x, y, p * lcm(x, y))
+    return p, found is not None, None
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from straus import cli, parallel
 from straus.cli import main
 from straus.core import check_identity
 
@@ -167,6 +168,34 @@ class TestStats:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert "stats desk-scale ceiling 1000000" in err
+
+
+class TestWorkers:
+    @pytest.fixture(autouse=True)
+    def no_pool(self, monkeypatch):
+        """Two available workers, and a failure instead of any process pool."""
+        def get_context(method):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(parallel, "get_context", get_context)
+        monkeypatch.setattr(cli, "default_workers", lambda: 2)
+
+    @pytest.mark.parametrize("command", [("stats",), ("verify", "conj1")])
+    @pytest.mark.parametrize("workers", ["100000", "3", "0", "-1"])
+    def test_out_of_range_is_refused_before_any_work(self, capsys, monkeypatch, command, workers):
+        def work(*args, **kwargs):
+            raise AssertionError("the range was swept")
+
+        monkeypatch.setattr(cli.stats_mod, "range_summary", work)
+        monkeypatch.setattr(cli.verify_mod, "sweep", work)
+        code, out, err = run(capsys, *command, "--to", "20000", "--workers", workers)
+        assert code == 2 and out == ""
+        assert err == f"error: --workers must be in [1, 2], got {workers}\n"
+
+    @pytest.mark.parametrize("command", [("stats",), ("verify", "conj1")])
+    def test_the_available_parallelism_is_accepted(self, capsys, command):
+        # both ranges are too small to fork at any worker count
+        assert run(capsys, *command, "--to", "100", "--workers", "2")[0] == 0
 
 
 class TestConstructAndWitness:

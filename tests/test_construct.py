@@ -77,6 +77,14 @@ class TestRuleFiles:
         with pytest.raises(RuleViolationError, match="at or below the pole for p = 5"):
             load_rules_from_path(bad)
 
+    def test_non_integral_z_rejected_at_load(self, tmp_path):
+        # y = p is integral and above the pole, but for p = 7 it gives x = 3
+        # and z = 147/14
+        bad = tmp_path / "bad.rules"
+        bad.write_text("3 1 0 1 0 1\n")
+        with pytest.raises(RuleViolationError, match="non-integral z for p = 7"):
+            load_rules_from_path(bad)
+
     def test_checksum_mismatch_rejected(self, monkeypatch):
         monkeypatch.setitem(RULE_CHECKSUMS, "theorem5.rules", "0" * 64)
         load_rules.cache_clear()  # the shipped table is cached from import

@@ -5,12 +5,13 @@ from math import isqrt
 
 import pytest
 
-from straus import enumeration, sieve
+from straus import core, enumeration, sieve
 from straus.core import Triple, check_identity, next_boundary
 from straus.enumeration import (
     FAST_LIMIT,
     ORACLE_LIMIT,
     SolutionSet,
+    _solution_rows,
     _square_divisors,
     enumerate_fast,
     enumerate_oracle,
@@ -82,6 +83,16 @@ class TestFast:
                 assert p < 4 * t.x <= 3 * p
                 assert t.y >= next_boundary(p, t.x)
                 assert check_identity(p, t.x, t.y, t.z)
+
+    def test_rows_are_the_triples(self):
+        for p in primes_in(PrimeRange(2, 300)):
+            assert list(_solution_rows(p)) == enumerate_fast(p).as_tuples()
+
+    def test_per_prime_row_failing_the_identity_raises(self, monkeypatch):
+        # the rows share Triple's check, so the failure comes before any Triple
+        monkeypatch.setattr(core, "check_identity", lambda *row: False)
+        with pytest.raises(ValueError, match=r"not a solution: 4/17 != 1/5 \+ 1/30 \+ 1/510"):
+            next(_solution_rows(17))
 
 
 class TestProgressions:
@@ -185,7 +196,7 @@ class TestRangeKernel:
         assert list(iter_range_solutions([])) == []
 
     def test_row_failing_the_identity_raises(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "check_identity", lambda *row: False)
+        monkeypatch.setattr(core, "check_identity", lambda *row: False)
         with pytest.raises(ValueError, match="not a solution: 4/17"):
             next(iter_range_solutions([17]))
 

@@ -1,12 +1,13 @@
 import io
 import time
+from collections import Counter
 from math import gcd, lcm
 
 import pytest
 
-from straus import verify
+from straus import core, verify
 from straus.construct import ResidueRule, RuleSet, load_rules, match_rule
-from straus.core import Triple, check_identity, classify, next_boundary, offset_x
+from straus.core import BoundaryValue, Triple, check_identity, classify, next_boundary, offset_x
 from straus.enumeration import enumerate_fast
 from straus.parallel import sampled_pmap
 from straus.sieve import PrimeRange, primes_in
@@ -15,7 +16,6 @@ from straus.verify import (
     WitnessReport,
     _certified,
     _check_claim,
-    _pattern_y_report,
     check_conj3_witness,
     check_conj5_witness,
     conj3_window,
@@ -71,10 +71,10 @@ class TestConj3Witness:
             find_conj3_witness(15)
 
     def test_refuses_primes_past_the_ceiling_before_scanning(self):
-        assert verify.CONJ3_WITNESS_CEILING == 10**9
+        assert verify.CONJ3_WITNESS_CEILING == 10**7
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="conj3 witness ceiling 1000000000"):
-            find_conj3_witness(1_000_000_007)
+        with pytest.raises(ValueError, match="conj3 witness ceiling 10000000$"):
+            find_conj3_witness(10_000_019)
         assert time.perf_counter() - start < 1.0
 
     def test_derived_triples_are_ib_for_small_primes(self):
@@ -167,6 +167,11 @@ class TestWitnessReport:
         t = Triple(13, 4, 18, 468)
         with pytest.raises(ValueError, match="scanned at least once"):
             WitnessReport(13, "conj5-x", 4, 1, t, scans)
+
+
+def _pattern_y_report(p):
+    """The conj3-pattern witness a storing sweep keeps for p, or None."""
+    return verify._report(p, "conj3-y", verify._pattern_y(p))
 
 
 def _brute_window_scan(p, kind, lo, hi):
@@ -294,6 +299,48 @@ class TestSweep:
         assert stored == set(primes_in(PrimeRange(3, 100)))  # all but the exception 2
         for w in ledger.witnesses:
             assert w.derived.z == w.p * lcm(w.derived.x, w.derived.y)
+
+
+def _count_built(monkeypatch, *classes):
+    """Count the instances of each class built while the test runs."""
+    built = Counter()
+    for cls in classes:
+        def counted(self, post_init=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
+class TestIntegerPaths:
+    def test_sweeps_without_witnesses_build_no_triple_or_report(self, monkeypatch):
+        built = _count_built(monkeypatch, Triple, WitnessReport)
+        r = PrimeRange(2, 3000)
+        exceptions = {claim: sweep(claim, r).exceptions for claim in verify.CLAIMS}
+        assert exceptions == {"conj1": (193,), "conj2": (), "conj3-pattern": (2, 2521),
+                              "conj5-pattern": (2, 3, 7, 47, 193, 2521)}
+        assert built == Counter()
+
+    def test_conj1_builds_no_boundary_value(self, monkeypatch):
+        built = _count_built(monkeypatch, BoundaryValue)
+        assert sweep("conj1", PrimeRange(2, 3000)).exceptions == (193,)
+        assert built == Counter()
+
+    @pytest.mark.parametrize("claim", ["conj3-pattern", "conj5-pattern"])
+    def test_stored_sweep_builds_one_report_and_triple_per_passing_prime(self, monkeypatch, claim):
+        built = _count_built(monkeypatch, Triple, WitnessReport)
+        r = PrimeRange(2, 3000)
+        ledger = sweep(claim, r, store_witnesses=True)
+        passing = len(primes_in(r)) - len(ledger.exceptions)
+        assert len(ledger.witnesses) == passing
+        assert built == Counter(Triple=passing, WitnessReport=passing)
+
+    def test_unstored_conj5_witness_failing_the_identity_raises(self, monkeypatch):
+        assert _check_claim("conj5-pattern", False, 13) == (13, True, None)
+        monkeypatch.setattr(core, "check_identity", lambda *row: False)
+        with pytest.raises(ValueError, match="not a solution: 4/13"):
+            _check_claim("conj5-pattern", False, 13)
 
 
 class TestLedgerCsv:
