@@ -120,12 +120,13 @@ def enumerate_oracle(p: int) -> SolutionSet:
 
 def iter_solutions_fast(p: int) -> Iterator[Triple]:
     """Yield all solutions for p in (x, y) lexicographic order, as Triples."""
+    require_prime(p)  # first, so p past _MR_LIMIT is told so, not the ceiling
     for x, y, z in _solution_rows(p):
         yield Triple(p, x, y, z)
 
 
 def _solution_rows(p: int) -> Iterator[tuple[int, int, int]]:
-    """The solutions for p as (x, y, z) ints in (x, y) order.
+    """The solutions for the prime p as (x, y, z) ints in (x, y) order.
 
     Each row is checked with require_solution; x <= y <= z and the window
     p/4 < x <= 3p/4 hold by construction.
@@ -142,7 +143,6 @@ def _solution_rows(p: int) -> Iterator[tuple[int, int, int]]:
     three progressions in [1, x] that each hold at most ceil(x/r) values.
     The first columns, x > 8r, keep the divisor list instead.
     """
-    require_prime(p)  # above 2**22 a Miller-Rabin test: no table is built
     if p > FAST_LIMIT:
         raise ValueError(f"p = {p} exceeds the enumeration ceiling {FAST_LIMIT}")
     last_listed = 1 if p == 2 else (8 * p - 1) // 31  # last x with x > 8(4x - p)

@@ -38,19 +38,17 @@ def sampled_pmap(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> 
     """pmap for items of unknown cost: fork only when the workers would save
     more than a pool costs.
 
-    Two disjoint samples of every k-th item run here first.  The first warms
-    the is_prime table (sieve._table) that later items reuse; the second is
-    timed, and the rest is projected at its pace.  The samples are strided
-    over the whole list, not its head, because a sweep's items are ascending
-    primes that cost more as p grows.
+    A timed sample of every (8 * workers)-th item runs here first, and the
+    rest is projected at its pace.  The sample is strided over the whole
+    list, not its head, because a sweep's items are ascending primes that
+    cost more as p grows.
     """
     if workers <= 1 or len(items) < _MIN_PARALLEL_ITEMS:
         return [fn(item) for item in items]
     stride = min(8 * workers, len(items))
-    done = {i: fn(items[i]) for i in range(stride // 2, len(items), stride)}
-    timed = range(stride // 4, len(items), stride)
+    timed = range(stride // 2, len(items), stride)
     start = perf_counter()
-    done.update((i, fn(items[i])) for i in timed)
+    done = {i: fn(items[i]) for i in timed}
     rest = [i for i in range(len(items)) if i not in done]
     rest_s = (perf_counter() - start) * len(rest) / len(timed)
     forked = rest_s * (1 - 1 / workers) > _POOL_START_S

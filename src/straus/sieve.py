@@ -9,11 +9,14 @@ from math import isqrt
 PRIME_CEILING = 2**40
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
-# Strong-pseudoprime bases proven deterministic for all n < 3.3 * 10**24,
-# comfortably covering the 64-bit range this module promises to test fast.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Strong-pseudoprime bases proven deterministic below the smallest strong
+# pseudoprime to all of them: 4 bases below _MR_SMALL_LIMIT (Jaeschke 1993),
+# 13 below _MR_LIMIT (Sorenson-Webster, arXiv:1509.00864; the first 12 pass
+# 318665857834031151167461 = 399165290221 * 798330580441).
+_MR_SMALL_BASES = (2, 3, 5, 7)
+_MR_SMALL_LIMIT = 3_215_031_751
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 @dataclass(frozen=True)
@@ -53,19 +56,6 @@ def _sieve_flags(limit: int) -> bytearray:
             start = p * p
             flags[start :: p] = bytes(len(range(start, limit, p)))
     return flags
-
-
-# Primality by lookup below _TABLE_LIMIT: _table[n] == 1 iff n is prime, for
-# n < len(_table).  Built on first use (at least 64 KiB) and regrown by powers
-# of two, so it never holds more than _TABLE_LIMIT bytes (4 MiB).
-_TABLE_LIMIT = 1 << 22
-_table = bytearray()
-
-
-def _grow_table(n: int) -> None:
-    """Resieve the table so that it covers n (n < _TABLE_LIMIT)."""
-    global _table
-    _table = _sieve_flags(min(1 << max(n.bit_length(), 16), _TABLE_LIMIT))
 
 
 def primes_in(r: PrimeRange, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[int]:
@@ -113,22 +103,19 @@ def _miller_rabin(n: int, bases: tuple[int, ...]) -> bool:
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < _MR_LIMIT (about 3.3e24).
 
-    A lookup in the shared sieve table below _TABLE_LIMIT; above it a
-    strong-pseudoprime test with a base set proven for every n < _MR_LIMIT,
-    so the answer is never probabilistic.  Larger n raise ValueError.
+    Trial division by the 13 bases, then a strong-pseudoprime test with the
+    base set proven for n, so the answer is never probabilistic; larger n
+    raise ValueError.  A few microseconds per call: sweeps take their primes
+    from primes_in instead.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n >= _MR_LIMIT:
         raise ValueError(f"n = {n} is past the proven primality range (n < {_MR_LIMIT})")
-    if n < _TABLE_LIMIT:
-        if n >= len(_table):
-            _grow_table(n)
-        return _table[n] == 1
-    for p in _SMALL_PRIMES:
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    return _miller_rabin(n, _MR_BASES)
+    return n > 1 and _miller_rabin(n, _MR_SMALL_BASES if n < _MR_SMALL_LIMIT else _MR_BASES)
 
 
 def require_prime(p: int) -> None:

@@ -43,9 +43,10 @@ CLAIMS = ("conj1", "conj2", "conj3-pattern", "conj5-pattern")
 # Desk-scale ceilings: refuse sweeps whose worst case would blow the time
 # budget instead of silently grinding.  A whole CLI sweep from 2 to its
 # ceiling on one worker (2-vCPU box, Python 3.11, median of three): conj1
-# 17.6 s, conj2 17.2 s, conj5-pattern 5.8 s.  conj3-pattern takes 16 s to
-# 10^7 without witnesses, but --witnesses enumerates every prime at about
-# 1 ms/prime near 10^7, so its ceiling stays 10^6 (7.4 s with witnesses).
+# 5.3 s, conj2 4.0 s, conj5-pattern 4.4 s (11.7 s with witnesses).
+# conj3-pattern would take 5.2 s to 10^7 without witnesses, but --witnesses
+# enumerates every prime at about 1 ms/prime near 10^7, so its ceiling stays
+# 10^6 (6.3 s with witnesses).
 CLAIM_CEILINGS = {
     "conj1": 10_000_000,
     "conj2": 10_000_000,
@@ -192,14 +193,8 @@ def find_conj5_witness(p: int) -> WitnessReport | None:
     return _report(p, "conj5-x", _scan_window(p, *conj5_window(p)))
 
 
-def verify_type_Ia_exists(p: int) -> bool:
-    """Does some solution sit one step above the boundary in y?
-
-    Scans each x-column's single candidate y = floor(px/(4x-p)) + 1; that cell
-    is the only place a type I(a) solution can live, so this is equivalent to
-    enumerating and classifying but exits early.
-    """
-    require_prime(p)
+def _ia_column_scan(p: int) -> bool:
+    """verify_type_Ia_exists for a prime p."""
     for x in range(p // 4 + 1, (3 * p) // 4 + 1):
         y = next_boundary(p, x)
         if y < x:
@@ -211,8 +206,20 @@ def verify_type_Ia_exists(p: int) -> bool:
     return False
 
 
+def verify_type_Ia_exists(p: int) -> bool:
+    """Does some solution sit one step above the boundary in y?
+
+    Scans each x-column's single candidate y = floor(px/(4x-p)) + 1; that cell
+    is the only place a type I(a) solution can live, so this is equivalent to
+    enumerating and classifying but exits early.
+    """
+    require_prime(p)
+    return _ia_column_scan(p)
+
+
 def verify_type_Ib_exists(p: int) -> bool:
     """Does some solution sit one step above the boundary in x?"""
+    require_prime(p)
     return any(offset_x(p, x, y) == 1 for x, y, _z in _solution_rows(p))
 
 
@@ -243,7 +250,6 @@ def _certified(claim: str, p: int) -> bool:
     an lcm partner of y never exists when the prime p divides y (see
     _scan_window).
     """
-    require_prime(p)
     rule = match_rule(load_rules(_CLAIM_RULES[claim]), p)
     if rule is None:
         return False
@@ -259,6 +265,7 @@ def _certified(claim: str, p: int) -> bool:
 def _check_claim(claim: str, store: bool, p: int) -> tuple[int, bool, WitnessReport | None]:
     """(p, does the claim hold at p, stored witness); top level so sweeps can fork.
 
+    p is prime: sweeps take it from primes_in, so no check here tests it again.
     conj2 and conj3-pattern try the rule certificate first and enumerate only
     when it fails; a stored conj3 witness is still the first solution in
     (x, y) order, so that path always enumerates.  Only a stored witness is
@@ -266,16 +273,17 @@ def _check_claim(claim: str, store: bool, p: int) -> tuple[int, bool, WitnessRep
     rows are checked by _solution_rows and a conj5 witness here.
     """
     if claim == "conj1":
-        return p, verify_type_Ia_exists(p), None
+        return p, _ia_column_scan(p), None
     if claim == "conj2":
-        return p, _certified(claim, p) or verify_type_Ib_exists(p), None
-    if store:
-        report = (_report(p, "conj3-y", _pattern_y(p)) if claim == "conj3-pattern"
-                  else find_conj5_witness(p))
-        return p, report is not None, report
-    if claim == "conj3-pattern":
+        ib = _certified(claim, p) or any(offset_x(p, x, y) == 1 for x, y, _z in _solution_rows(p))
+        return p, ib, None
+    if claim == "conj3-pattern" and not store:
         return p, _certified(claim, p) or _pattern_y(p) is not None, None
-    found = _scan_window(p, *conj5_window(p))
+    conj3 = claim == "conj3-pattern"
+    found = _pattern_y(p) if conj3 else _scan_window(p, *conj5_window(p))
+    if store:
+        report = _report(p, "conj3-y" if conj3 else "conj5-x", found)
+        return p, report is not None, report
     if found is not None:
         x, y, _scans = found
         require_solution(p, x, y, p * lcm(x, y))
@@ -297,6 +305,8 @@ class ExceptionLedger:
 
     def recheck(self) -> bool:
         """Re-verify on demand that every listed exception still fails."""
+        for p in self.exceptions:
+            require_prime(p)  # caller data, not a sweep's sieved primes
         return all(not _check_claim(self.claim, False, p)[1] for p in self.exceptions)
 
 

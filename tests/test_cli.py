@@ -228,6 +228,14 @@ class TestConstructAndWitness:
         assert "conj3 witness ceiling" in err
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("command", [["construct"], ["witness", "conj5"]])
+    def test_twelve_base_pseudoprime_is_usage_error(self, capsys, command):
+        # 399165290221 * 798330580441 passes Miller-Rabin to the first 12 prime bases
+        code, out, err = run(capsys, *command, "318665857834031151167461")
+        assert code == 2
+        assert out == ""
+        assert "not prime" in err
+
     def test_witness_absent(self, capsys):
         code, out, _ = run(capsys, "witness", "conj5", "47")
         assert code == 0

@@ -1,17 +1,10 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-import straus
-from straus import sieve
 from straus.sieve import (
     _MR_BASES,
     _MR_LIMIT,
-    _SMALL_PRIMES,
-    _TABLE_LIMIT,
+    _MR_SMALL_BASES,
+    _MR_SMALL_LIMIT,
     PRIME_CEILING,
     PrimeRange,
     _miller_rabin,
@@ -102,6 +95,14 @@ class TestIsPrime:
         assert is_prime(2**61 - 1)  # Mersenne prime
         assert not is_prime(2**61 + 1)
 
+    def test_twelve_bases_are_not_enough(self):
+        # psi_12 = 399165290221 * 798330580441, the smallest strong pseudoprime
+        # to the first 12 prime bases; the 13th base, 41, exposes it
+        psi12 = 318665857834031151167461
+        assert psi12 == 399165290221 * 798330580441
+        assert _miller_rabin(psi12, _MR_BASES[:12])
+        assert not is_prime(psi12)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             is_prime(-7)
@@ -118,30 +119,15 @@ class TestPrimeTable:
         assert {n for n in range(20_000) if is_prime(n)} == expected
 
     def test_agrees_with_miller_rabin_across_switch(self):
-        for n in range(_TABLE_LIMIT - 511, _TABLE_LIMIT + 512, 2):
-            expected = all(n % p for p in _SMALL_PRIMES) and _miller_rabin(n, _MR_BASES)
+        # four bases decide below _MR_SMALL_LIMIT, which fools them, and all 13 from it on
+        assert _MR_SMALL_LIMIT == 3_215_031_751
+        assert _miller_rabin(_MR_SMALL_LIMIT, _MR_SMALL_BASES)
+        assert not is_prime(_MR_SMALL_LIMIT)
+        for n in range(_MR_SMALL_LIMIT - 511, _MR_SMALL_LIMIT + 512, 2):
+            expected = all(n % p for p in _MR_BASES) and _miller_rabin(n, _MR_BASES)
             assert is_prime(n) == expected, n
 
     def test_strong_pseudoprime_below_cap_rejected(self):
         # 1373653 is the smallest strong pseudoprime to bases 2 and 3
-        assert 1373653 < _TABLE_LIMIT and _miller_rabin(1373653, (2, 3))
+        assert _miller_rabin(1373653, (2, 3))
         assert not is_prime(1373653)
-
-    def test_grows_by_powers_of_two(self, monkeypatch):
-        monkeypatch.setattr(sieve, "_table", bytearray())
-        assert is_prime(100_003)
-        assert len(sieve._table) == 1 << 17
-        assert not is_prime(_TABLE_LIMIT - 1)  # 3 * 23 * 89 * 683
-        assert len(sieve._table) == _TABLE_LIMIT
-
-    def test_bounded_by_cap(self, monkeypatch):
-        monkeypatch.setattr(sieve, "_table", bytearray())
-        assert is_prime(2**22 + 15)
-        assert is_prime(2**61 - 1)
-        assert len(sieve._table) <= 2**22
-
-    def test_import_leaves_table_empty(self):
-        src = Path(straus.__file__).resolve().parent.parent
-        code = "import sys, straus, straus.cli; sys.exit(len(straus.sieve._table) != 0)"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

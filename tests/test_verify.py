@@ -5,8 +5,8 @@ from math import gcd, lcm
 
 import pytest
 
-from straus import core, verify
-from straus.construct import ResidueRule, RuleSet, load_rules, match_rule
+from straus import core, sieve, verify
+from straus.construct import ResidueRule, RuleSet, construct_solution, load_rules, match_rule
 from straus.core import BoundaryValue, Triple, check_identity, classify, next_boundary, offset_x
 from straus.enumeration import enumerate_fast
 from straus.parallel import sampled_pmap
@@ -288,6 +288,25 @@ class TestSweep:
         fake = ExceptionLedger("conj1", PrimeRange(2, 1000), (17,))
         assert not fake.recheck()
 
+    @pytest.mark.parametrize("claim", verify.CLAIMS)
+    def test_recheck_refuses_a_composite_exception(self, claim):
+        fake = ExceptionLedger(claim, PrimeRange(2, 10_000), exceptions=(6001,))  # 17 * 353
+        with pytest.raises(ValueError, match="not prime"):
+            fake.recheck()
+
+    @pytest.mark.parametrize("store", [False, True])
+    @pytest.mark.parametrize("claim", verify.CLAIMS)
+    def test_sweeps_trust_the_sieve(self, claim, store, monkeypatch):
+        # primes_in decides primality once; no per-prime check tests it again.
+        # Rule validation samples primes with is_prime, so it runs before the count.
+        for table in ("theorem5", "conjecture3-table"):
+            load_rules(table)
+        calls = []
+        is_prime = sieve.is_prime
+        monkeypatch.setattr(sieve, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        sweep(claim, PrimeRange(2, 10_000), workers=1, store_witnesses=store)
+        assert calls == []
+
     def test_unexpected_above_threshold(self):
         ledger = sweep("conj3-pattern", PrimeRange(2, 3000))
         assert ledger.unexpected() == ()  # 2 and 2521 are both <= p* = 2521
@@ -467,5 +486,10 @@ class TestRuleCertificate:
         assert loaded_at_map == [1]
 
     def test_certificate_refuses_composite(self):
+        # 6001 = 17 * 353 is in a theorem5 class; _certified trusts its prime,
+        # so the public entry points are the ones that refuse it
+        rule = match_rule(load_rules("theorem5"), 6001)
         with pytest.raises(ValueError, match="not prime"):
-            _certified("conj2", 6001)  # 6001 = 17 * 353 is in a theorem5 class
+            construct_solution(rule, 6001)
+        with pytest.raises(ValueError, match="not prime"):
+            verify_type_Ib_exists(6001)
