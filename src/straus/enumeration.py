@@ -2,9 +2,10 @@
 
 enumerate_oracle sweeps one prime's whole (x, y) search region and is
 deliberately naive; enumerate_fast reformulates each x-column as a
-divisor-pair problem, and iter_range_solutions runs those columns over a
-whole list of primes for stats.  Both must reproduce the oracle, which exists
-so they can be checked against it wholesale.
+divisor-pair problem and finds most pairs by walking the divisors of a few
+small numbers, and iter_range_solutions runs the columns over a whole list of
+primes for stats.  Both must reproduce the oracle, which exists so they can be
+checked against it wholesale.
 """
 
 from __future__ import annotations
@@ -20,24 +21,25 @@ from .sieve import PrimeRange, primes_in, require_prime
 from .sink import write_to
 
 ORACLE_LIMIT = 10_000
-# `straus solve 9999991` takes 8-10 s on one core at 21 MiB peak RSS (2-vCPU
+# `straus solve 9999991` takes 2.5 s on one core at 20 MiB peak RSS (2-vCPU
 # box, Python 3.11); the time grows like p, the memory stays flat.
 FAST_LIMIT = 10_000_000
 
 _BLOCK_CELLS = 1 << 18  # most (prime, divisor) pairs per numpy call
 
-# The largest column either enumerator factors: iter_solutions_fast lists
-# divisors only for x <= 8p/31 with p <= FAST_LIMIT, and the stats kernel
-# only for x <= 3 * STATS_CEILING / 4.  Every x up to it has at most one prime
-# factor above _TRIAL_PRIMES[-1] = 1601, so trial division factors it exactly.
-_FACTOR_LIMIT = 8 * FAST_LIMIT // 31
+# The largest number either enumerator factors: iter_solutions_fast walks the
+# divisors of u**2 with u = (m*p + 1)/4, m <= 31, for p <= FAST_LIMIT (and
+# lists them for columns x <= 8p/31), and the stats kernel lists them for
+# x <= 3 * STATS_CEILING / 4.  Every n up to it has at most one prime factor
+# above _TRIAL_PRIMES[-1] = 8803, so trial division factors it exactly.
+_FACTOR_LIMIT = (31 * FAST_LIMIT + 1) // 4
 _TRIAL_PRIMES = tuple(primes_in(PrimeRange(2, isqrt(_FACTOR_LIMIT))))
 
 
 def _square_divisors(x: int) -> tuple[int, ...]:
     """All divisors of x**2, from the factorization of x (unsorted)."""
     if x > _FACTOR_LIMIT:
-        raise ValueError(f"x = {x} exceeds the factoring bound {_FACTOR_LIMIT}")
+        raise ValueError(f"{x} exceeds the factoring bound {_FACTOR_LIMIT}")
     factors = []
     n = x
     for q in _TRIAL_PRIMES:
@@ -135,47 +137,83 @@ def _solution_rows(p: int) -> Iterator[tuple[int, int, int]]:
     correspond to divisor pairs d*e = N**2 with d <= N and r | (N + d),
     via y = (N+d)/r, z = (N+e)/r.  Divisors of N**2 = p**2 * x**2 that are
     <= N are exactly the divisors of x**2 (all below N since x < p) plus
-    p*d0 for divisors d0 of x**2 with d0 <= x.
+    p*d0 for divisors d0 of x**2 with d0 <= x.  The first columns, x > 8r,
+    list the divisors of x**2.
 
-    For odd p, r is coprime to N and p = 4x (mod r), so a divisor d of x**2
-    with d <= x needs d = -4x**2 (mod r), one with d > x has its co-divisor
-    e = x**2/d < x with 4e = -1 (mod r), and p*d0 needs d0 = -x (mod r):
-    three progressions in [1, x] that each hold at most ceil(x/r) values.
-    The first columns, x > 8r, keep the divisor list instead.
+    In the other columns r is coprime to N and p = 4x (mod r), so a divisor
+    d of x**2 with d <= x needs d = -4x**2 (mod r): a progression in [1, x],
+    tested per column, that holds at most x/r <= 8 values and is empty once
+    x > p/2 (then d < 2x(2x - p), so y < x).  The other two types come
+    from divisor walks over small numbers (_walked_hits).
     """
     if p > FAST_LIMIT:
         raise ValueError(f"p = {p} exceeds the enumeration ceiling {FAST_LIMIT}")
     last_listed = 1 if p == 2 else (8 * p - 1) // 31  # last x with x > 8(4x - p)
-    k = -p % 4  # r = 4x - p = k (mod 4)
-    for x in range(p // 4 + 1, (3 * p) // 4 + 1):
+    for x in range(p // 4 + 1, last_listed + 1):  # x <= p/2, so every d gives y >= x
         r = 4 * x - p
         n = p * x
-        dmin = 2 * x * (2 * x - p)  # d >= dmin <=> y >= x
         hits = []
-        if x <= last_listed:  # x <= p/2, so dmin <= 0 < d
-            for d in _square_divisors(x):
-                if (n + d) % r == 0:
-                    hits.append(d)
-                if d <= x and (n + p * d) % r == 0:
-                    hits.append(p * d)
-        else:
-            xx = x * x
-            for e in range((k * r - 1) // 4 or r, x, r):  # 4e = kr - 1 = -1 (mod r)
-                if xx % e == 0 and xx // e >= dmin:
-                    hits.append(xx // e)
-            if dmin <= 0:  # x > p/2: d <= x < dmin, and r - x > x is the first d0
-                for d in range(-n % r or r, x + 1, r):
-                    if xx % d == 0:
-                        hits.append(d)
-                for d0 in range(-x % r or r, x + 1, r):
-                    if xx % d0 == 0:
-                        hits.append(p * d0)
+        for d in _square_divisors(x):
+            if (n + d) % r == 0:
+                hits.append(d)
+            if d <= x and (n + p * d) % r == 0:
+                hits.append(p * d)
         if hits:
-            n2 = n * n
-            cols = sorted(((n + d) // r, (n + n2 // d) // r) for d in hits)
-            for y, z in cols:
-                require_solution(p, x, y, z)
-                yield x, y, z
+            yield from _column_rows(p, x, hits)
+    walked = _walked_hits(p, last_listed)
+    for x in range(last_listed + 1, p // 2 + 1):
+        r = 4 * x - p
+        xx = x * x
+        hits = [d for d in range(-p * x % r or r, x + 1, r) if xx % d == 0]
+        if x in walked:
+            hits += walked.pop(x)
+        if hits:
+            yield from _column_rows(p, x, hits)
+    for x in sorted(walked):
+        yield from _column_rows(p, x, walked[x])
+
+
+def _walked_hits(p: int, last_listed: int) -> dict[int, list[int]]:
+    """x -> the divisors d > x of x**2 and the p*d0 that give solutions in
+    the columns x > last_listed, where x <= 8r with r = 4x - p.
+
+    e-type: d = x**2/e with e < x and 4e = -1 (mod r).  Then 4e = m*r - 1
+    with m = -p (mod 4), so e = m*x - u with u = (m*p + 1)/4; e is coprime
+    to m (4u - m*p = 1), hence e | x**2 iff e | u**2.  e < x needs
+    4(m - 1)x < 4u, so only the few m allowed at x = last_listed + 1 occur
+    (m <= 31 for every p; only m = 1 once x > p/2).  Walking the divisors
+    e of u**2 gives x = (u + e)/m; y >= x still needs d >= 2x(2x - p).
+
+    d0-type (x <= p/2): d0 = s*r - x with s <= 2x/r <= 16, so
+    d0 = (4s - 1)x - s*p, and since r is coprime to x, d0 | x**2 iff
+    d0 | s**2.  Walking the divisors d0 of s**2 gives x = (s*p + d0)/(4s - 1).
+    """
+    hits: dict[int, list[int]] = {}
+    lo4 = 4 * (last_listed + 1)
+    for m in range(-p % 4, lo4 // (lo4 - p) + 1, 4):  # (m - 1)*lo4 < m*p + 1
+        u = (m * p + 1) // 4
+        for e in _square_divisors(u):
+            x, rest = divmod(u + e, m)
+            if not rest and last_listed < x <= 3 * p // 4 and e < x:
+                d = x * x // e
+                if d >= 2 * x * (2 * x - p):
+                    hits.setdefault(x, []).append(d)
+    for s in range(1, 17):
+        for d0 in _square_divisors(s):
+            x, rest = divmod(s * p + d0, 4 * s - 1)
+            if not rest and last_listed < x <= p // 2 and d0 <= x:
+                hits.setdefault(x, []).append(p * d0)
+    return hits
+
+
+def _column_rows(p: int, x: int, hits: list[int]) -> Iterator[tuple[int, int, int]]:
+    """Column x's rows for the divisors `hits` of (px)**2, sorted by y."""
+    r = 4 * x - p
+    n = p * x
+    n2 = n * n
+    for y, z in sorted(((n + d) // r, (n + n2 // d) // r) for d in hits):
+        require_solution(p, x, y, z)
+        yield x, y, z
 
 
 def iter_range_solutions(

@@ -120,5 +120,5 @@ def is_prime(n: int) -> bool:
 
 def require_prime(p: int) -> None:
     """Raise ValueError unless p is prime."""
-    if not is_prime(p):
+    if p < 2 or not is_prime(p):
         raise ValueError(f"p = {p} is not prime")

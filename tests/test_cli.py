@@ -37,6 +37,13 @@ class TestSolve:
         assert code == 2
         assert "not prime" in err
 
+    @pytest.mark.parametrize("command", [["solve"], ["witness", "conj5"]])
+    def test_negative_is_not_prime(self, capsys, command):
+        code, out, err = run(capsys, *command, "-7")
+        assert code == 2
+        assert out == ""
+        assert "p = -7 is not prime" in err
+
     def test_past_proven_primality_range_is_usage_error(self, capsys):
         start = time.perf_counter()
         code, _, err = run(capsys, "solve", str(2**89 - 1))  # Mersenne prime

@@ -110,6 +110,11 @@ class TestProgressions:
         near_switch = Counter()
         for p in primes:
             assert enumerate_fast(p).as_tuples() == by_p[p], p
+            # above p/2 only the m = 1 walk yields rows: p = 3 (mod 4), (x - u) | u**2
+            u = (p + 1) // 4
+            for x, _y, _z in by_p[p]:
+                if 2 * x > p:
+                    assert p % 4 == 3 and u * u % (x - u) == 0, (p, x)
             # the divisor list serves the columns with x > 8r, r = 4x - p
             last_listed = max((x for x in range(p // 4 + 1, p) if x > 8 * (4 * x - p)),
                               default=p // 4)
@@ -117,6 +122,18 @@ class TestProgressions:
                 if last_listed - 1 <= x <= last_listed + 2:
                     near_switch[x <= last_listed] += 1
         assert near_switch[True] > 50 and near_switch[False] > 50, near_switch
+
+    # p = 3: (2, 2, 3) has d = 4, e = 1 = u = (p + 1)/4 on the m = 1 walk;
+    # p = 31: (8, 496, 496) has r = 1 and d0 = x = 8r, so s = (d0 + x)/r = 16;
+    # p = 99689: x = 25740 has e = 25350 on the m = 31 walk, the last m allowed
+    @pytest.mark.parametrize("p, x, d, row", [
+        (3, 2, 4, (2, 2, 3)),
+        (31, 8, 31 * 8, (8, 496, 496)),
+        (99689, 25740, 25740**2 // 25350, (25740, 784476, 77018724510)),
+    ])
+    def test_walks_reach_their_boundary_rows(self, p, x, d, row):
+        assert d in enumeration._walked_hits(p, (8 * p - 1) // 31)[x]
+        assert row in enumerate_fast(p).as_tuples()
 
     def test_refuses_primes_past_the_ceiling_before_sieving(self):
         p = next(q for q in range(FAST_LIMIT + 1, 2 * FAST_LIMIT) if is_prime(q))
@@ -130,20 +147,25 @@ class TestProgressions:
             small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
             return set(small) | {n // d for d in small}
 
-        # 1601**2 is the largest square of a trial prime, 1601 * 1607 has a
-        # cofactor past it, and 2580642 is the last listed column of 9999991.
+        # 1601 * 1607 has two prime factors past 1601, 2580642 is the last
+        # listed column of 9999991 and (31 * 9999991 + 1) // 4 its largest
+        # walked u; 8803**2 is the largest square of a trial prime.
         for x in [*range(1, 20_001), 1601**2, 1601 * 1607, 2_580_642,
-                  enumeration._FACTOR_LIMIT]:
+                  (31 * 9999991 + 1) // 4, 8803**2, enumeration._FACTOR_LIMIT]:
             dx = divisors(x)
             assert sorted(_square_divisors(x)) == sorted({a * b for a in dx for b in dx}), x
 
     def test_factoring_bound_covers_both_enumerators(self):
-        # enumerate_fast lists x <= (8p - 1) // 31; the stats kernel x <= 3p/4
+        # enumerate_fast walks u = (m*p + 1)/4 with m <= 31 and lists
+        # x <= (8p - 1) // 31; the stats kernel lists x <= 3p/4
+        assert (31 * FAST_LIMIT + 1) // 4 <= enumeration._FACTOR_LIMIT
         assert (8 * FAST_LIMIT - 1) // 31 <= enumeration._FACTOR_LIMIT
         assert 3 * STATS_CEILING // 4 <= enumeration._FACTOR_LIMIT
-        # the smallest x with two prime factors past the trial primes
-        assert enumeration._FACTOR_LIMIT < 1607**2
-        with pytest.raises(ValueError, match="factoring bound 2580645"):
+        # the smallest n with two prime factors past the trial primes
+        next_prime = next(q for q in range(enumeration._TRIAL_PRIMES[-1] + 1, 10**5)
+                          if is_prime(q))
+        assert enumeration._FACTOR_LIMIT < next_prime**2
+        with pytest.raises(ValueError, match="factoring bound 77500000"):
             _square_divisors(enumeration._FACTOR_LIMIT + 1)
 
     def test_enumeration_leaves_module_state_untouched(self):
