@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from typing import Sequence
 
 from . import construct as construct_mod
@@ -24,6 +25,7 @@ from .sieve import PrimeRange
 from .sink import write_to
 
 
+@cache  # static, so one parser serves every main() call in a process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="straus",
@@ -192,8 +194,7 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, construct_mod.RuleViolationError) as exc:

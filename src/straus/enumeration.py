@@ -1,37 +1,38 @@
-"""Complete solution sets, three ways.
+"""Complete solution sets, two ways.
 
 enumerate_oracle sweeps one prime's whole (x, y) search region and is
 deliberately naive; enumerate_fast reformulates each x-column as a
 divisor-pair problem and finds most pairs by walking the divisors of a few
-small numbers, and iter_range_solutions runs the columns over a whole list of
-primes for stats.  Both must reproduce the oracle, which exists so they can be
+small numbers.  It is the one enumerator: solve, the claim checks and stats
+all read its rows.  It must reproduce the oracle, which exists so it can be
 checked against it wholesale.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator
 
 from .core import Triple, next_boundary, require_solution
 from .sieve import PrimeRange, primes_in, require_prime
 from .sink import write_to
 
 ORACLE_LIMIT = 10_000
-# `straus solve 9999991` takes 2.5 s on one core at 20 MiB peak RSS (2-vCPU
-# box, Python 3.11); the time grows like p, the memory stays flat.
+# `straus solve 9999991` takes 3.0-3.7 s on one core at 38 MiB peak RSS
+# (2-vCPU box, Python 3.11, numpy 2.4); the time grows like p, and the memory
+# stays flat because the column pass runs in blocks of _COLUMN_BLOCK.
 FAST_LIMIT = 10_000_000
 
-_BLOCK_CELLS = 1 << 18  # most (prime, divisor) pairs per numpy call
+# Columns per numpy call in the progression pass: at FAST_LIMIT the pass spans
+# 2.4 M columns, and one int64 array over all of them would take 19 MB.
+_COLUMN_BLOCK = 1 << 16
 
-# The largest number either enumerator factors: iter_solutions_fast walks the
-# divisors of u**2 with u = (m*p + 1)/4, m <= 31, for p <= FAST_LIMIT (and
-# lists them for columns x <= 8p/31), and the stats kernel lists them for
-# x <= 3 * STATS_CEILING / 4.  Every n up to it has at most one prime factor
-# above _TRIAL_PRIMES[-1] = 8803, so trial division factors it exactly.
+# The largest number the enumerator factors: _walked_hits walks the divisors
+# of u**2 with u = (m*p + 1)/4, m <= 31, for p <= FAST_LIMIT, and the listed
+# columns x <= 8p/31 lie below it.  Every n up to it has at most one prime
+# factor above _TRIAL_PRIMES[-1] = 8803, so trial division factors it exactly.
 _FACTOR_LIMIT = (31 * FAST_LIMIT + 1) // 4
 _TRIAL_PRIMES = tuple(primes_in(PrimeRange(2, isqrt(_FACTOR_LIMIT))))
 
@@ -141,10 +142,10 @@ def _solution_rows(p: int) -> Iterator[tuple[int, int, int]]:
     list the divisors of x**2.
 
     In the other columns r is coprime to N and p = 4x (mod r), so a divisor
-    d of x**2 with d <= x needs d = -4x**2 (mod r): a progression in [1, x],
-    tested per column, that holds at most x/r <= 8 values and is empty once
-    x > p/2 (then d < 2x(2x - p), so y < x).  The other two types come
-    from divisor walks over small numbers (_walked_hits).
+    d of x**2 with d <= x needs d = -4x**2 (mod r): a progression in [1, x]
+    that holds at most x/r <= 8 values and is empty once x > p/2 (then
+    d < 2x(2x - p), so y < x); _progression_hits tests it in numpy.  The
+    other two types come from divisor walks over small numbers (_walked_hits).
     """
     if p > FAST_LIMIT:
         raise ValueError(f"p = {p} exceeds the enumeration ceiling {FAST_LIMIT}")
@@ -161,16 +162,38 @@ def _solution_rows(p: int) -> Iterator[tuple[int, int, int]]:
         if hits:
             yield from _column_rows(p, x, hits)
     walked = _walked_hits(p, last_listed)
-    for x in range(last_listed + 1, p // 2 + 1):
-        r = 4 * x - p
-        xx = x * x
-        hits = [d for d in range(-p * x % r or r, x + 1, r) if xx % d == 0]
-        if x in walked:
-            hits += walked.pop(x)
-        if hits:
-            yield from _column_rows(p, x, hits)
+    for lo in range(last_listed + 1, p // 2 + 1, _COLUMN_BLOCK):
+        hi = min(lo + _COLUMN_BLOCK, p // 2 + 1)
+        columns = _progression_hits(p, lo, hi)
+        for x in [x for x in walked if x < hi]:
+            columns.setdefault(x, []).extend(walked.pop(x))
+        for x in sorted(columns):
+            yield from _column_rows(p, x, columns[x])
     for x in sorted(walked):
         yield from _column_rows(p, x, walked[x])
+
+
+def _progression_hits(p: int, lo: int, hi: int) -> dict[int, list[int]]:
+    """x -> the divisors d <= x of x**2 with d = -p*x (mod r), r = 4x - p,
+    for the columns lo <= x < hi, where x <= 8r, so each column has at most
+    8 candidates.  Every int64 value is below p*x < 5 * 10**13 at FAST_LIMIT.
+    """
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
+    x = np.arange(lo, hi, dtype=np.int64)
+    r = 4 * x - p
+    d = r - p * x % r  # the least positive d = -p*x (mod r)
+    xx = x * x
+    hits: dict[int, list[int]] = {}
+    while True:
+        keep = d <= x
+        x, r, d, xx = x[keep], r[keep], d[keep], xx[keep]
+        if not x.size:
+            return hits
+        hit = xx % d == 0
+        for col, dd in zip(x[hit].tolist(), d[hit].tolist()):
+            hits.setdefault(col, []).append(dd)
+        d += r
 
 
 def _walked_hits(p: int, last_listed: int) -> dict[int, list[int]]:
@@ -214,54 +237,6 @@ def _column_rows(p: int, x: int, hits: list[int]) -> Iterator[tuple[int, int, in
     for y, z in sorted(((n + d) // r, (n + n2 // d) // r) for d in hits):
         require_solution(p, x, y, z)
         yield x, y, z
-
-
-def iter_range_solutions(
-    primes: Sequence[int], x_lo: int = 1, x_hi: int | None = None
-) -> Iterator[tuple[int, int, int, int]]:
-    """Yield the rows (p, x, y, z) with x in [x_lo, x_hi] of every prime in
-    the ascending list `primes`, ordered by (x, p, y).
-
-    iter_solutions_fast with its loops swapped: the divisors of x**2 are
-    formed once per x-column and tested against all the column's primes
-    (p/4 < x <= 3p/4).  Since p = 4x (mod r), the tests r | px + d and
-    r | px + dp read r | 4x**2 + d and r | 4x(x + d), whose left sides do not
-    depend on p and stay at most 8 * x**2, an int64 (about 4.5 * 10**12 at
-    stats' ceiling).  numpy runs them as one vector operation per block of at
-    most _BLOCK_CELLS (prime, test) cells.  Each hit is checked with
-    require_solution; y >= x (the filter on d), z >= y (d <= px) and the
-    window (the column's prime slice) hold by construction.
-    """
-    import numpy as np  # here, not at module level: import straus stays numpy-free
-
-    if x_hi is None:
-        x_hi = 3 * primes[-1] // 4 if primes else 0
-    ps = np.array(primes, dtype=np.int64)
-    for x in range(x_lo, x_hi + 1):
-        first = bisect_left(primes, (4 * x + 2) // 3)  # p >= 4x/3
-        stop = bisect_left(primes, 4 * x, first)  # p < 4x
-        if first == stop:
-            continue
-        divs = _square_divisors(x)
-        small = [d for d in divs if d <= x]
-        tests = np.array([4 * x * x + d for d in divs] + [4 * x * (x + d) for d in small],
-                         dtype=np.int64)
-        width = len(tests)
-        cols = []
-        step = max(1, _BLOCK_CELLS // width)
-        for lo in range(first, stop, step):
-            hi = min(lo + step, stop)
-            hits = np.flatnonzero(tests % (4 * x - ps[lo:hi, None]) == 0).tolist()
-            for k in hits:
-                i, j = divmod(k, width)
-                p = primes[lo + i]
-                d = divs[j] if j < len(divs) else p * small[j - len(divs)]
-                if d >= 2 * x * (2 * x - p):  # y >= x
-                    n, q = p * x, 4 * x - p
-                    cols.append((p, (n + d) // q, (n + n * n // d) // q))
-        for p, y, z in sorted(cols):
-            require_solution(p, x, y, z)
-            yield p, x, y, z
 
 
 def enumerate_fast(p: int) -> SolutionSet:

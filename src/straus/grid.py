@@ -14,11 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
-from typing import IO
 
 from .sieve import require_prime
-from .sink import write_to
 
 MAX_CELLS = 4_000_000
 
@@ -158,7 +155,3 @@ def render(p: int, x_max: int, y_max: int, fmt: str = "ascii") -> bytes:
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {sorted(FORMATS)}")
     return FORMATS[fmt](build_grid(p, x_max, y_max))
-
-
-def write_grid(p: int, x_max: int, y_max: int, fmt: str, dest: str | Path | IO[bytes]) -> None:
-    write_to(dest, render(p, x_max, y_max, fmt))

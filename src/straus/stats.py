@@ -6,29 +6,29 @@ are exact; bucket 5 is the terminal row and absorbs every offset >= 5, which
 is how the published distribution for primes <= 4000 tallies (its final row
 aggregates the tail).  The overflow slot therefore only counts entries the
 bucketing cannot place at all and stays empty by construction.
+
+A range's summary is a map over its primes: each prime's bucket counts come
+from the per-prime enumerator, so a range costs the sum of its primes' costs.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import IO
 
 from .core import offset_x
-from .enumeration import iter_range_solutions
-from .parallel import pmap
+from .enumeration import _solution_rows
+from .parallel import sampled_pmap
 from .sieve import PrimeRange, primes_in
 from .sink import write_to
 
 BUCKETS = (1, 2, 3, 4, 5)
 OVERFLOW = "overflow"
 
-# Desk-scale ceiling, like sweep's: time grows about as hi**1.7 from 2, yet
-# [999900, 10**6] takes 24-29 s at 35 MiB peak RSS on one worker (2-vCPU
-# box).  Its columns, x <= 3 * STATS_CEILING / 4, stay inside the bound that
-# enumeration._square_divisors factors exactly.
+# Desk-scale ceiling, like sweep's: a prime costs about p, so a range from 2
+# costs about hi**2 / log(hi), yet [999900, 10**6] takes 1.4-1.6 s on one
+# worker (2-vCPU box).  It lies inside enumeration.FAST_LIMIT.
 STATS_CEILING = 1_000_000
 
 
@@ -72,25 +72,12 @@ class DistTable:
         return self.counts[i] / self.total
 
 
-def _summarize_x_block(primes: list[int], block: tuple[int, int]) -> Counter:
-    """Solution counts keyed by (p, bucket) for the x-columns in block."""
-    return Counter(
-        (p, min(offset_x(p, x, y), 5))
-        for p, x, y, _z in iter_range_solutions(primes, *block)
-    )
-
-
-# Columns per block, the same at every worker count: pmap forks only from
-# eight blocks (x_max > 1400, a range reaching p = 1871), below which a pool
-# costs more than it saves.  Small blocks keep any one from holding up the
-# pool, since a column's cost is no simple function of x.
-_BLOCK_COLUMNS = 200
-
-
-def _x_blocks(x_max: int) -> list[tuple[int, int]]:
-    """[1, x_max] cut into blocks of _BLOCK_COLUMNS columns, the last shorter."""
-    starts = range(1, x_max + 1, _BLOCK_COLUMNS)
-    return [(lo, min(lo + _BLOCK_COLUMNS - 1, x_max)) for lo in starts]
+def _prime_buckets(p: int) -> tuple[int, ...]:
+    """The solution counts of p per offset bucket."""
+    buckets = [0] * len(BUCKETS)
+    for x, y, _z in _solution_rows(p):
+        buckets[min(offset_x(p, x, y), 5) - 1] += 1
+    return tuple(buckets)
 
 
 def range_summary(
@@ -100,17 +87,9 @@ def range_summary(
     ending above STATS_CEILING is refused before sieving."""
     r.require_within(STATS_CEILING, "stats")
     primes = primes_in(r)
-    x_max = 3 * primes[-1] // 4 if primes else 0
-    tally = Counter()
-    for block in pmap(partial(_summarize_x_block, primes), _x_blocks(x_max), workers):
-        tally.update(block)
-    counts = dict.fromkeys(BUCKETS, 0)
-    for (_, i), c in tally.items():
-        counts[i] += c
-    series = []
-    for p in primes:
-        buckets = [tally[p, i] for i in BUCKETS]
-        series.append(PerPrimeProportion(p, sum(buckets), sum(buckets[1:])))
+    per_prime = sampled_pmap(_prime_buckets, primes, workers)
+    counts = {i: sum(b[i - 1] for b in per_prime) for i in BUCKETS}
+    series = [PerPrimeProportion(p, sum(b), sum(b[1:])) for p, b in zip(primes, per_prime)]
     table = DistTable(r, counts, overflow=0, total=sum(counts.values()))
     return table, series
 

@@ -1,10 +1,16 @@
 import io
+import os
+import subprocess
+import sys
 import time
 from collections import Counter, defaultdict
 from math import isqrt
+from pathlib import Path
 
 import pytest
+from range_kernel import iter_range_solutions
 
+import straus
 from straus import core, enumeration
 from straus.core import Triple, check_identity, next_boundary
 from straus.enumeration import (
@@ -15,7 +21,6 @@ from straus.enumeration import (
     _square_divisors,
     enumerate_fast,
     enumerate_oracle,
-    iter_range_solutions,
     write_solutions_csv,
 )
 from straus.sieve import PrimeRange, is_prime, primes_in
@@ -94,9 +99,33 @@ class TestFast:
         with pytest.raises(ValueError, match=r"not a solution: 4/17 != 1/5 \+ 1/30 \+ 1/510"):
             next(_solution_rows(17))
 
+    def test_column_blocks_yield_the_same_rows(self, monkeypatch):
+        # the numpy pass spans several blocks only from p near 270 000; blocks
+        # of 7 columns put block seams and walked columns together here
+        primes = primes_in(PrimeRange(2, 3000))
+        whole = [list(_solution_rows(p)) for p in primes]
+        monkeypatch.setattr(enumeration, "_COLUMN_BLOCK", 7)
+        assert [list(_solution_rows(p)) for p in primes] == whole
+
+    def test_column_pass_loads_numpy_only_when_reached(self):
+        # 99991's first row lies in its listed columns, before the numpy pass
+        code = ("import sys\n"
+                "from straus.enumeration import _solution_rows\n"
+                "rows = _solution_rows(99991)\n"
+                "next(rows)\n"
+                "print('numpy' in sys.modules)\n"
+                "list(rows)\n"
+                "print('numpy' in sys.modules)\n")
+        src = Path(straus.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["False", "True"]
+
 
 class TestProgressions:
-    # the ids name the engine compared with enumerate_fast: the numpy kernel
+    # the ids name the engine compared with enumerate_fast: the numpy range
+    # kernel of tests/range_kernel.py
     @pytest.mark.parametrize("p", ABOVE_ORACLE, ids=lambda p: f"{p}-numpy")
     def test_equals_range_kernel_above_the_oracle(self, p):
         kernel = [(x, y, z) for _p, x, y, z in iter_range_solutions([p])]
@@ -157,10 +186,10 @@ class TestProgressions:
 
     def test_factoring_bound_covers_both_enumerators(self):
         # enumerate_fast walks u = (m*p + 1)/4 with m <= 31 and lists
-        # x <= (8p - 1) // 31; the stats kernel lists x <= 3p/4
+        # x <= (8p - 1) // 31; stats enumerates the primes up to STATS_CEILING
         assert (31 * FAST_LIMIT + 1) // 4 <= enumeration._FACTOR_LIMIT
         assert (8 * FAST_LIMIT - 1) // 31 <= enumeration._FACTOR_LIMIT
-        assert 3 * STATS_CEILING // 4 <= enumeration._FACTOR_LIMIT
+        assert STATS_CEILING <= FAST_LIMIT
         # the smallest n with two prime factors past the trial primes
         next_prime = next(q for q in range(enumeration._TRIAL_PRIMES[-1] + 1, 10**5)
                           if is_prime(q))
@@ -197,20 +226,6 @@ class TestRangeKernel:
         assert whole == [t for lo, hi in ((1, 150), (151, 151), (152, 450))
                          for t in iter_range_solutions(primes, lo, hi)]
         assert [row[1] for row in whole] == sorted(row[1] for row in whole)
-
-    def test_split_columns_yield_the_same_rows(self, monkeypatch):
-        import numpy
-
-        # the kernel makes one flatnonzero call per block of a column's primes
-        calls = []
-        flatnonzero = numpy.flatnonzero
-        monkeypatch.setattr(numpy, "flatnonzero", lambda a: calls.append(a.shape) or flatnonzero(a))
-        primes = primes_in(PrimeRange(2, 1000))
-        whole = list(iter_range_solutions(primes))
-        columns = len(calls)  # no column reaches _BLOCK_CELLS cells here
-        monkeypatch.setattr(enumeration, "_BLOCK_CELLS", 256)
-        assert list(iter_range_solutions(primes)) == whole
-        assert len(calls) - columns > columns, "no column split into blocks"
 
     def test_empty_prime_list(self):
         assert list(iter_range_solutions([])) == []

@@ -1,5 +1,3 @@
-import io
-
 import pytest
 
 from straus.core import classify
@@ -11,7 +9,6 @@ from straus.grid import (
     classify_cell,
     negative_region,
     render,
-    write_grid,
 )
 from straus.sieve import PrimeRange, primes_in
 
@@ -125,12 +122,6 @@ class TestRender:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             render(17, 5, 5, "svg")
-
-    def test_write_grid_to_path_and_stream(self, tmp_path):
-        dest, buf = tmp_path / "g.ppm", io.BytesIO()
-        write_grid(17, 10, 40, "ppm", dest)
-        write_grid(17, 10, 40, "ppm", buf)
-        assert dest.read_bytes() == buf.getvalue() == render(17, 10, 40, "ppm")
 
 
 class TestSolutionConsistency:

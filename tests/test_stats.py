@@ -12,13 +12,11 @@ import straus
 from straus import parallel, stats
 from straus.core import offset_x
 from straus.enumeration import enumerate_fast
-from straus.parallel import pmap
 from straus.sieve import PrimeRange, primes_in
 from straus.stats import (
     STATS_CEILING,
     DistTable,
     PerPrimeProportion,
-    _x_blocks,
     distribution,
     emit_csv,
     emit_gnuplot,
@@ -56,19 +54,21 @@ class TestDistribution:
             return multiprocessing.get_context(method)
 
         monkeypatch.setattr(parallel, "get_context", get_context)
-        for hi in (400, 3000):  # 2 blocks run in-process, 12 are forked
+        monkeypatch.setattr(parallel, "_POOL_START_S", -1.0)  # a pool always pays
+        for hi in (400, 3000):
             r = PrimeRange(2, hi)
             assert range_summary(r, workers=1) == range_summary(r, workers=2)
-        assert opened == ["fork"]
+        assert opened == ["fork", "fork"]
 
     def test_small_range_stays_in_process(self, monkeypatch):
-        r = PrimeRange(2, 1000)  # 4 blocks
+        r = PrimeRange(2, 1000)
         expected = range_summary(r, workers=1)
 
         def no_pool(method):
-            raise AssertionError("a 4-block range opened a pool")
+            raise AssertionError("a range cheaper than a pool opened one")
 
         monkeypatch.setattr(parallel, "get_context", no_pool)
+        monkeypatch.setattr(parallel, "_POOL_START_S", float("inf"))  # a pool never pays
         assert range_summary(r, workers=2) == expected
 
     def test_counts_must_sum(self):
@@ -121,17 +121,6 @@ class TestRangeKernel:
         assert distribution(PrimeRange(STATS_CEILING, STATS_CEILING)).total == 0
         with pytest.raises(ValueError, match="ceiling 1000000$"):  # no subrange to suggest
             range_summary(PrimeRange(STATS_CEILING + 1, STATS_CEILING + 1))
-
-    @pytest.mark.parametrize("x_max, workers", [
-        (1, 1), (1, 2), (7, 2), (199, 1), (200, 1), (201, 1), (4500, 1), (4500, 3),
-    ])
-    def test_x_blocks_cover_each_column_once(self, x_max, workers):
-        # range_summary maps its blocks through pmap; the columns must come
-        # back once each and in order, whether the blocks ran here or forked.
-        blocks = _x_blocks(x_max)
-        assert all(hi - lo + 1 <= 200 for lo, hi in blocks)
-        mapped = pmap(list, [range(lo, hi + 1) for lo, hi in blocks], workers)
-        assert [x for block in mapped for x in block] == list(range(1, x_max + 1))
 
     def test_import_leaves_numpy_unloaded(self):
         src = Path(straus.__file__).resolve().parent.parent
