@@ -61,6 +61,11 @@ def _square_divisors(x: int) -> tuple[int, ...]:
     return tuple(divs)
 
 
+# The (s, d0) pairs that _walked_hits' d0-type walk tries for every prime:
+# s <= 16 and d0 a divisor of s**2.
+_D0_PAIRS = tuple((s, d0) for s in range(1, 17) for d0 in _square_divisors(s))
+
+
 @dataclass(frozen=True)
 class SolutionSet:
     """All solutions for one prime, strictly ordered by (x, y)."""
@@ -221,11 +226,10 @@ def _walked_hits(p: int, last_listed: int) -> dict[int, list[int]]:
                 d = x * x // e
                 if d >= 2 * x * (2 * x - p):
                     hits.setdefault(x, []).append(d)
-    for s in range(1, 17):
-        for d0 in _square_divisors(s):
-            x, rest = divmod(s * p + d0, 4 * s - 1)
-            if not rest and last_listed < x <= p // 2 and d0 <= x:
-                hits.setdefault(x, []).append(p * d0)
+    for s, d0 in _D0_PAIRS:
+        x, rest = divmod(s * p + d0, 4 * s - 1)
+        if not rest and last_listed < x <= p // 2 and d0 <= x:
+            hits.setdefault(x, []).append(p * d0)
     return hits
 
 

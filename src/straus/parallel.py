@@ -14,7 +14,6 @@ from typing import Callable, Sequence, TypeVar
 T = TypeVar("T")
 R = TypeVar("R")
 
-_MIN_PARALLEL_ITEMS = 8
 # What a 2-worker fork pool adds to a sweep on top of its halved work: 0.11 s
 # for conj1 to 10^5 and conj5-pattern to 1.7 * 10^5 (2-vCPU box, Python 3.11).
 _POOL_START_S = 0.1
@@ -26,31 +25,31 @@ def default_workers() -> int:
 
 
 def pmap(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> list[R]:
-    """list(map(fn, items)), forked across workers when workers > 1."""
-    if workers <= 1 or len(items) < _MIN_PARALLEL_ITEMS:
-        return [fn(item) for item in items]
-    chunksize = max(1, len(items) // (workers * 8))
-    with get_context("fork").Pool(workers) as pool:
-        return pool.map(fn, items, chunksize=chunksize)
-
-
-def sampled_pmap(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> list[R]:
-    """pmap for items of unknown cost: fork only when the workers would save
+    """list(map(fn, items)), forked across workers only when they would save
     more than a pool costs.
 
     A timed sample of every (8 * workers)-th item runs here first, and the
     rest is projected at its pace.  The sample is strided over the whole
     list, not its head, because a sweep's items are ascending primes that
-    cost more as p grows.
+    cost more as p grows.  The item before the sample runs before it,
+    untimed: a first call's one-time costs, such as numpy's import or a rule
+    table's validation, recur neither here nor in workers forked after it.
     """
-    if workers <= 1 or len(items) < _MIN_PARALLEL_ITEMS:
+    if workers <= 1 or len(items) < 2:
         return [fn(item) for item in items]
     stride = min(8 * workers, len(items))
     timed = range(stride // 2, len(items), stride)
+    done = {stride // 2 - 1: fn(items[stride // 2 - 1])}
     start = perf_counter()
-    done = {i: fn(items[i]) for i in timed}
+    done.update((i, fn(items[i])) for i in timed)
     rest = [i for i in range(len(items)) if i not in done]
     rest_s = (perf_counter() - start) * len(rest) / len(timed)
-    forked = rest_s * (1 - 1 / workers) > _POOL_START_S
-    done.update(zip(rest, pmap(fn, [items[i] for i in rest], workers if forked else 1)))
+    if rest_s * (1 - 1 / workers) > _POOL_START_S:
+        # Pool.map, not a nested pmap, which perfbench's pmap wrapper would time twice
+        with get_context("fork").Pool(workers) as pool:
+            mapped = pool.map(fn, [items[i] for i in rest],
+                              chunksize=max(1, len(rest) // (workers * 8)))
+    else:
+        mapped = [fn(items[i]) for i in rest]
+    done.update(zip(rest, mapped))
     return [done[i] for i in range(len(items))]

@@ -14,22 +14,33 @@ from the per-prime enumerator, so a range costs the sum of its primes' costs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log
 from pathlib import Path
 from typing import IO
 
 from .core import offset_x
 from .enumeration import _solution_rows
-from .parallel import sampled_pmap
+from .parallel import pmap
 from .sieve import PrimeRange, primes_in
 from .sink import write_to
 
 BUCKETS = (1, 2, 3, 4, 5)
 OVERFLOW = "overflow"
 
-# Desk-scale ceiling, like sweep's: a prime costs about p, so a range from 2
-# costs about hi**2 / log(hi), yet [999900, 10**6] takes 1.4-1.6 s on one
-# worker (2-vCPU box).  It lies inside enumeration.FAST_LIMIT.
+# Desk-scale ceiling, like sweep's; it lies inside enumeration.FAST_LIMIT.
+# [999900, 10**6] takes 1.4-1.6 s on one worker (2-vCPU box).
 STATS_CEILING = 1_000_000
+
+
+def _work(lo: int, hi: int) -> float:
+    """About the sum of the primes in [lo, hi]: a prime costs about p."""
+    return (hi * hi - lo * lo) / (2 * log(hi))
+
+
+# A range below the ceiling can still run for hours: [2, 10**5] takes 77-85 s
+# on one worker (2-vCPU box), so [2, 10**6] would take about 2 h.  Ranges
+# costing more than [2, 200000], about 5 min on one worker, are refused.
+_WORK_BOUND = _work(2, 200_000)
 
 
 @dataclass(frozen=True)
@@ -84,10 +95,18 @@ def range_summary(
     r: PrimeRange, workers: int = 1
 ) -> tuple[DistTable, list[PerPrimeProportion]]:
     """Distribution table and per-prime series from a single sweep; a range
-    ending above STATS_CEILING is refused before sieving."""
+    ending above STATS_CEILING, or costing more than [2, 200000], is refused
+    before sieving."""
     r.require_within(STATS_CEILING, "stats")
+    work = _work(r.lo, r.hi)
+    if work > _WORK_BOUND:
+        raise ValueError(
+            f"range [{r.lo}, {r.hi}] costs about {work / _WORK_BOUND:.1f}x "
+            "the stats work bound, the cost of [2, 200000] (about 5 min on one "
+            "worker); split it into narrower ranges"
+        )
     primes = primes_in(r)
-    per_prime = sampled_pmap(_prime_buckets, primes, workers)
+    per_prime = pmap(_prime_buckets, primes, workers)
     counts = {i: sum(b[i - 1] for b in per_prime) for i in BUCKETS}
     series = [PerPrimeProportion(p, sum(b), sum(b[1:])) for p, b in zip(primes, per_prime)]
     table = DistTable(r, counts, overflow=0, total=sum(counts.values()))

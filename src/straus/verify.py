@@ -30,7 +30,7 @@ from typing import IO
 from .construct import RuleViolationError, _rule_solution, load_rules, match_rule
 from .core import Triple, check_identity, next_boundary, offset_x, require_solution
 from .enumeration import _solution_rows
-from .parallel import sampled_pmap
+from .parallel import pmap
 from .sieve import PrimeRange, primes_in, require_prime
 from .sink import write_to
 
@@ -45,8 +45,8 @@ CLAIMS = ("conj1", "conj2", "conj3-pattern", "conj5-pattern")
 # ceiling on one worker (2-vCPU box, Python 3.11, median of three): conj1
 # 5.3 s, conj2 4.0 s, conj5-pattern 4.4 s (11.7 s with witnesses).
 # conj3-pattern would take 5.2 s to 10^7 without witnesses, but --witnesses
-# enumerates every prime at about 1 ms/prime near 10^7, so its ceiling stays
-# 10^6 (6.3 s with witnesses).
+# enumerates every prime (0.11-0.15 ms each from 10^6 to 10^7, and 8.5x the
+# primes below 10^7), so its ceiling stays 10^6 (6.3 s with witnesses).
 CLAIM_CEILINGS = {
     "conj1": 10_000_000,
     "conj2": 10_000_000,
@@ -320,14 +320,13 @@ def sweep(
 
     Partitioning across workers never changes the result; the ledger merge is
     a plain ordered concatenation.  A sweep too cheap to pay for a pool runs
-    in-process at any worker count.
+    in-process at any worker count; pmap's in-process items load a claim's
+    rule table before any pool forks, so the workers inherit it.
     """
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
     r.require_within(CLAIM_CEILINGS[claim], claim)
-    if claim in _CLAIM_RULES:
-        load_rules(_CLAIM_RULES[claim])  # validate once; forked workers inherit it
-    results = sampled_pmap(partial(_check_claim, claim, store_witnesses), primes_in(r), workers)
+    results = pmap(partial(_check_claim, claim, store_witnesses), primes_in(r), workers)
     exceptions = tuple(p for (p, ok, _w) in results if not ok)
     witnesses = tuple(w for (_p, _ok, w) in results if w is not None)
     return ExceptionLedger(claim, r, exceptions, witnesses)

@@ -176,6 +176,13 @@ class TestStats:
         assert code == 2
         assert "stats desk-scale ceiling 1000000" in err
 
+    def test_hours_of_work_is_usage_error(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "stats", "--to", "1000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err.startswith("error: range [2, 1000000] costs about 22.1x the stats work bound")
+
 
 class TestWorkers:
     @pytest.fixture(autouse=True)

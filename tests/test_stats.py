@@ -42,6 +42,12 @@ class TestDistribution:
         assert table.total == 3084
         assert table.counts == {1: 3049, 2: 32, 3: 3, 4: 0, 5: 0}
 
+    def test_range_to_10000_frozen(self):
+        table, series = range_summary(PrimeRange(2, 10_000))
+        assert table.counts == {1: 111_342, 2: 1_593, 3: 577, 4: 261, 5: 437}
+        assert table.total == 114_210
+        assert sum(row.n_type_ii for row in series) == 2_868
+
     def test_totals_cross_check_series(self):
         table, series = range_summary(PrimeRange(2, 300))
         assert table.total == sum(row.n_solutions for row in series)
@@ -121,6 +127,18 @@ class TestRangeKernel:
         assert distribution(PrimeRange(STATS_CEILING, STATS_CEILING)).total == 0
         with pytest.raises(ValueError, match="ceiling 1000000$"):  # no subrange to suggest
             range_summary(PrimeRange(STATS_CEILING + 1, STATS_CEILING + 1))
+
+    def test_work_bound_is_the_cost_of_2_to_200000(self, monkeypatch):
+        sieved = []
+        monkeypatch.setattr(stats, "primes_in", lambda r: sieved.append(r) or [])
+        accepted = [PrimeRange(2, 200_000), PrimeRange(999_900, STATS_CEILING)]
+        for r in accepted:
+            assert range_summary(r)[0].total == 0
+        assert sieved == accepted
+        for lo, hi in [(2, 200_001), (2, STATS_CEILING), (500_000, 560_000)]:
+            with pytest.raises(ValueError, match=r"x the stats work bound.*\[2, 200000\]"):
+                range_summary(PrimeRange(lo, hi))
+        assert sieved == accepted
 
     def test_import_leaves_numpy_unloaded(self):
         src = Path(straus.__file__).resolve().parent.parent

@@ -1,15 +1,15 @@
 import io
+import multiprocessing
 import time
 from collections import Counter
 from math import gcd, lcm
 
 import pytest
 
-from straus import core, sieve, verify
+from straus import core, parallel, sieve, verify
 from straus.construct import ResidueRule, RuleSet, construct_solution, load_rules, match_rule
 from straus.core import BoundaryValue, Triple, check_identity, classify, next_boundary, offset_x
 from straus.enumeration import enumerate_fast
-from straus.parallel import sampled_pmap
 from straus.sieve import PrimeRange, primes_in
 from straus.verify import (
     ExceptionLedger,
@@ -472,18 +472,18 @@ class TestRuleCertificate:
         assert next_boundary(11, 3) == 34
 
     def test_sweep_loads_the_table_before_forking(self, monkeypatch):
-        # the map itself runs a sample in-process, which would load the table
-        # too; what counts is that it is loaded before any item is mapped
-        loaded_at_map = []
+        # pmap's in-process sample runs _certified, which loads the table
+        cached_at_fork = []
 
-        def spy(fn, items, workers):
-            loaded_at_map.append(verify.load_rules.cache_info().currsize)
-            return sampled_pmap(fn, items, workers)
+        def get_context(method):
+            cached_at_fork.append(verify.load_rules.cache_info().currsize)
+            return multiprocessing.get_context(method)
 
-        monkeypatch.setattr(verify, "sampled_pmap", spy)
+        monkeypatch.setattr(parallel, "get_context", get_context)
+        monkeypatch.setattr(parallel, "_POOL_START_S", -1.0)  # a pool always pays
         verify.load_rules.cache_clear()
         sweep("conj2", PrimeRange(2, 200), workers=2)
-        assert loaded_at_map == [1]
+        assert cached_at_fork == [1]
 
     def test_certificate_refuses_composite(self):
         # 6001 = 17 * 353 is in a theorem5 class; _certified trusts its prime,
