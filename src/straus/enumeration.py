@@ -2,7 +2,8 @@
 
 enumerate_oracle sweeps one prime's whole (x, y) search region and is
 deliberately naive; enumerate_fast reformulates each x-column as a
-divisor-pair problem and finds most pairs by walking the divisors of a few
+divisor-pair problem, lists divisors only in the first columns and finds the
+other pairs as residue classes mod 4x - p or by walking the divisors of a few
 small numbers.  It is the one enumerator: solve, the claim checks and stats
 all read its rows.  It must reproduce the oracle, which exists so it can be
 checked against it wholesale.
@@ -20,18 +21,22 @@ from .sieve import PrimeRange, primes_in, require_prime
 from .sink import write_to
 
 ORACLE_LIMIT = 10_000
-# `straus solve 9999991` takes 3.0-3.7 s on one core at 38 MiB peak RSS
+# `straus solve 9999991` takes 0.9-1.1 s on one core at 39 MiB peak RSS
 # (2-vCPU box, Python 3.11, numpy 2.4); the time grows like p, and the memory
-# stays flat because the column pass runs in blocks of _COLUMN_BLOCK.
+# stays flat because the progression pass runs in blocks of _COLUMN_BLOCK
+# columns and _CELL_BLOCK candidates.
 FAST_LIMIT = 10_000_000
 
-# Columns per numpy call in the progression pass: at FAST_LIMIT the pass spans
-# 2.4 M columns, and one int64 array over all of them would take 19 MB.
-_COLUMN_BLOCK = 1 << 16
+# The progression pass spans 2.4 M columns at FAST_LIMIT and lays up to 3 * 64
+# candidates per column end to end.  Its progressions are set up for
+# _COLUMN_BLOCK columns at a time (a few int64 arrays of up to 3 entries per
+# column), and each numpy test covers at most _CELL_BLOCK candidates.
+_COLUMN_BLOCK = 1 << 14
+_CELL_BLOCK = 1 << 16
 
 # The largest number the enumerator factors: _walked_hits walks the divisors
 # of u**2 with u = (m*p + 1)/4, m <= 31, for p <= FAST_LIMIT, and the listed
-# columns x <= 8p/31 lie below it.  Every n up to it has at most one prime
+# columns x <= 64p/255 lie below it.  Every n up to it has at most one prime
 # factor above _TRIAL_PRIMES[-1] = 8803, so trial division factors it exactly.
 _FACTOR_LIMIT = (31 * FAST_LIMIT + 1) // 4
 _TRIAL_PRIMES = tuple(primes_in(PrimeRange(2, isqrt(_FACTOR_LIMIT))))
@@ -143,19 +148,23 @@ def _solution_rows(p: int) -> Iterator[tuple[int, int, int]]:
     correspond to divisor pairs d*e = N**2 with d <= N and r | (N + d),
     via y = (N+d)/r, z = (N+e)/r.  Divisors of N**2 = p**2 * x**2 that are
     <= N are exactly the divisors of x**2 (all below N since x < p) plus
-    p*d0 for divisors d0 of x**2 with d0 <= x.  The first columns, x > 8r,
+    p*d0 for divisors d0 of x**2 with d0 <= x.  The first columns, x > 64r,
     list the divisors of x**2.
 
-    In the other columns r is coprime to N and p = 4x (mod r), so a divisor
-    d of x**2 with d <= x needs d = -4x**2 (mod r): a progression in [1, x]
-    that holds at most x/r <= 8 values and is empty once x > p/2 (then
-    d < 2x(2x - p), so y < x); _progression_hits tests it in numpy.  The
-    other two types come from divisor walks over small numbers (_walked_hits).
+    In the other columns r is coprime to N and p = 4x (mod r), so each
+    candidate type is one residue class mod r inside [1, x], holding at most
+    x/r <= 64 values: d <= x with d = -p*x, the co-divisor e = x**2/d < x of
+    a d > x with 4e = -1, and d0 <= x (for D = p*d0) with d0 = -x (mod r).
+    _progression_hits tests the d-type up to p/2 (past it d < 2x(2x - p),
+    so y < x) and, in the band 8r < x <= 64r, the other two types as well;
+    above the band, where x <= 8r, divisor walks over small numbers find
+    those two (_walked_hits).
     """
     if p > FAST_LIMIT:
         raise ValueError(f"p = {p} exceeds the enumeration ceiling {FAST_LIMIT}")
-    last_listed = 1 if p == 2 else (8 * p - 1) // 31  # last x with x > 8(4x - p)
-    for x in range(p // 4 + 1, last_listed + 1):  # x <= p/2, so every d gives y >= x
+    listed_to = 1 if p == 2 else (64 * p - 1) // 255  # last x with x > 64(4x - p)
+    band_to = 1 if p == 2 else (8 * p - 1) // 31  # last x with x > 8(4x - p)
+    for x in range(p // 4 + 1, listed_to + 1):  # x <= p/2, so every d gives y >= x
         r = 4 * x - p
         n = p * x
         hits = []
@@ -166,10 +175,10 @@ def _solution_rows(p: int) -> Iterator[tuple[int, int, int]]:
                 hits.append(p * d)
         if hits:
             yield from _column_rows(p, x, hits)
-    walked = _walked_hits(p, last_listed)
-    for lo in range(last_listed + 1, p // 2 + 1, _COLUMN_BLOCK):
+    walked = _walked_hits(p, band_to)
+    for lo in range(listed_to + 1, p // 2 + 1, _COLUMN_BLOCK):
         hi = min(lo + _COLUMN_BLOCK, p // 2 + 1)
-        columns = _progression_hits(p, lo, hi)
+        columns = _progression_hits(p, lo, hi, band_to)
         for x in [x for x in walked if x < hi]:
             columns.setdefault(x, []).extend(walked.pop(x))
         for x in sorted(columns):
@@ -178,37 +187,58 @@ def _solution_rows(p: int) -> Iterator[tuple[int, int, int]]:
         yield from _column_rows(p, x, walked[x])
 
 
-def _progression_hits(p: int, lo: int, hi: int) -> dict[int, list[int]]:
-    """x -> the divisors d <= x of x**2 with d = -p*x (mod r), r = 4x - p,
-    for the columns lo <= x < hi, where x <= 8r, so each column has at most
-    8 candidates.  Every int64 value is below p*x < 5 * 10**13 at FAST_LIMIT.
+def _progression_hits(p: int, lo: int, hi: int, band_to: int) -> dict[int, list[int]]:
+    """x -> the divisors D of (p*x)**2 that give solutions in the columns
+    lo <= x < hi (x <= 64r, r = 4x - p), from three progressions mod r:
+    - d <= x with d = -p*x, in every column; D = d;
+    - e < x with 4e = -1, in the band x <= band_to; D = x**2/e;
+    - d0 <= x with d0 = -x, in the band; D = p*d0.
+    A candidate v is a hit when x*x % v == 0.
+
+    Each progression holds at most 64 values.  They are laid end to end as
+    one run of cells, progression k owning cells [edges[k], edges[k+1]), and
+    each numpy test covers at most _CELL_BLOCK cells.  At FAST_LIMIT the
+    largest int64 value, c*r with c < 3 * 64 * _COLUMN_BLOCK cells, stays
+    below 2**46.
     """
     import numpy as np  # here, not at module level: import straus stays numpy-free
 
     x = np.arange(lo, hi, dtype=np.int64)
     r = 4 * x - p
-    d = r - p * x % r  # the least positive d = -p*x (mod r)
-    xx = x * x
+    bx = x[: max(0, band_to + 1 - lo)]  # the band is a prefix of the block
+    br = r[: len(bx)]
+    e0 = ((-p % 4) * br - 1) // 4  # 4*e0 + 1 = m*r, m = -p % 4 = r % 4
+    col = np.concatenate([x, bx, bx])
+    step = np.concatenate([r, br, br])
+    # the least positive member of each class, then how many lie in [1, x] or [1, x)
+    first = np.concatenate([r - p * x % r, (e0 - 1) % br + 1, br - bx % br])
+    count = (np.concatenate([x, bx - 1, bx]) - first) // step + 1
+    edges = np.concatenate([[0], np.cumsum(count)])
+    base = first - edges[:-1] * step  # cell c of progression k holds base[k] + c*step[k]
+    square = col * col
+    cells = int(edges[-1])
     hits: dict[int, list[int]] = {}
-    while True:
-        keep = d <= x
-        x, r, d, xx = x[keep], r[keep], d[keep], xx[keep]
-        if not x.size:
-            return hits
-        hit = xx % d == 0
-        for col, dd in zip(x[hit].tolist(), d[hit].tolist()):
-            hits.setdefault(col, []).append(dd)
-        d += r
+    for c0 in range(0, cells, _CELL_BLOCK):
+        c1 = min(c0 + _CELL_BLOCK, cells)
+        k0, k1 = np.searchsorted(edges, [c0, c1 - 1], side="right") - 1  # of the first, last cell
+        k = np.repeat(np.arange(k0, k1 + 1), np.diff(np.clip(edges[k0 : k1 + 2], c0, c1)))
+        v = base[k] + np.arange(c0, c1) * step[k]
+        hit = np.flatnonzero(square[k] % v == 0)
+        k, v = k[hit], v[hit]
+        d = np.where(k < len(x), v, np.where(k < len(x) + len(bx), square[k] // v, p * v))
+        for cx, dd in zip(col[k].tolist(), d.tolist()):
+            hits.setdefault(cx, []).append(dd)
+    return hits
 
 
-def _walked_hits(p: int, last_listed: int) -> dict[int, list[int]]:
+def _walked_hits(p: int, band_to: int) -> dict[int, list[int]]:
     """x -> the divisors d > x of x**2 and the p*d0 that give solutions in
-    the columns x > last_listed, where x <= 8r with r = 4x - p.
+    the columns x > band_to, where x <= 8r with r = 4x - p.
 
     e-type: d = x**2/e with e < x and 4e = -1 (mod r).  Then 4e = m*r - 1
     with m = -p (mod 4), so e = m*x - u with u = (m*p + 1)/4; e is coprime
     to m (4u - m*p = 1), hence e | x**2 iff e | u**2.  e < x needs
-    4(m - 1)x < 4u, so only the few m allowed at x = last_listed + 1 occur
+    4(m - 1)x < 4u, so only the few m allowed at x = band_to + 1 occur
     (m <= 31 for every p; only m = 1 once x > p/2).  Walking the divisors
     e of u**2 gives x = (u + e)/m; y >= x still needs d >= 2x(2x - p).
 
@@ -217,18 +247,18 @@ def _walked_hits(p: int, last_listed: int) -> dict[int, list[int]]:
     d0 | s**2.  Walking the divisors d0 of s**2 gives x = (s*p + d0)/(4s - 1).
     """
     hits: dict[int, list[int]] = {}
-    lo4 = 4 * (last_listed + 1)
+    lo4 = 4 * (band_to + 1)
     for m in range(-p % 4, lo4 // (lo4 - p) + 1, 4):  # (m - 1)*lo4 < m*p + 1
         u = (m * p + 1) // 4
         for e in _square_divisors(u):
             x, rest = divmod(u + e, m)
-            if not rest and last_listed < x <= 3 * p // 4 and e < x:
+            if not rest and band_to < x <= 3 * p // 4 and e < x:
                 d = x * x // e
                 if d >= 2 * x * (2 * x - p):
                     hits.setdefault(x, []).append(d)
     for s, d0 in _D0_PAIRS:
         x, rest = divmod(s * p + d0, 4 * s - 1)
-        if not rest and last_listed < x <= p // 2 and d0 <= x:
+        if not rest and band_to < x <= p // 2 and d0 <= x:
             hits.setdefault(x, []).append(p * d0)
     return hits
 

@@ -28,7 +28,7 @@ BUCKETS = (1, 2, 3, 4, 5)
 OVERFLOW = "overflow"
 
 # Desk-scale ceiling, like sweep's; it lies inside enumeration.FAST_LIMIT.
-# [999900, 10**6] takes 1.4-1.6 s on one worker (2-vCPU box).
+# [999900, 10**6] takes 0.7-0.8 s on one worker (2-vCPU box).
 STATS_CEILING = 1_000_000
 
 
@@ -37,9 +37,10 @@ def _work(lo: int, hi: int) -> float:
     return (hi * hi - lo * lo) / (2 * log(hi))
 
 
-# A range below the ceiling can still run for hours: [2, 10**5] takes 77-85 s
-# on one worker (2-vCPU box), so [2, 10**6] would take about 2 h.  Ranges
-# costing more than [2, 200000], about 5 min on one worker, are refused.
+# A range below the ceiling can still run for most of an hour: [2, 10**5]
+# takes 40 s and [2, 200000] 2.1 min on one worker (2-vCPU box), so
+# [2, 10**6] would take about 50 min.  Ranges costing more than [2, 200000]
+# are refused.
 _WORK_BOUND = _work(2, 200_000)
 
 
@@ -102,7 +103,7 @@ def range_summary(
     if work > _WORK_BOUND:
         raise ValueError(
             f"range [{r.lo}, {r.hi}] costs about {work / _WORK_BOUND:.1f}x "
-            "the stats work bound, the cost of [2, 200000] (about 5 min on one "
+            "the stats work bound, the cost of [2, 200000] (about 2 min on one "
             "worker); split it into narrower ranges"
         )
     primes = primes_in(r)

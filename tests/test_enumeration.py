@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -100,11 +101,19 @@ class TestFast:
             next(_solution_rows(17))
 
     def test_column_blocks_yield_the_same_rows(self, monkeypatch):
-        # the numpy pass spans several blocks only from p near 270 000; blocks
+        # the numpy pass spans several blocks only from p near 66 000; blocks
         # of 7 columns put block seams and walked columns together here
         primes = primes_in(PrimeRange(2, 3000))
         whole = [list(_solution_rows(p)) for p in primes]
         monkeypatch.setattr(enumeration, "_COLUMN_BLOCK", 7)
+        assert [list(_solution_rows(p)) for p in primes] == whole
+
+    def test_cell_blocks_yield_the_same_rows(self, monkeypatch):
+        # every band progression (8r < x <= 64r) holds 8 to 64 candidates, so
+        # blocks of 7 cells cut through each of them
+        primes = primes_in(PrimeRange(2, 3000))
+        whole = [list(_solution_rows(p)) for p in primes]
+        monkeypatch.setattr(enumeration, "_CELL_BLOCK", 7)
         assert [list(_solution_rows(p)) for p in primes] == whole
 
     def test_column_pass_loads_numpy_only_when_reached(self):
@@ -137,6 +146,7 @@ class TestProgressions:
         for p, x, y, z in iter_range_solutions(primes):
             by_p[p].append((x, y, z))
         near_switch = Counter()
+        band_types = Counter()
         for p in primes:
             assert enumerate_fast(p).as_tuples() == by_p[p], p
             # above p/2 only the m = 1 walk yields rows: p = 3 (mod 4), (x - u) | u**2
@@ -144,13 +154,20 @@ class TestProgressions:
             for x, _y, _z in by_p[p]:
                 if 2 * x > p:
                     assert p % 4 == 3 and u * u % (x - u) == 0, (p, x)
-            # the divisor list serves the columns with x > 8r, r = 4x - p
-            last_listed = max((x for x in range(p // 4 + 1, p) if x > 8 * (4 * x - p)),
-                              default=p // 4)
-            for x, _y, _z in by_p[p]:
-                if last_listed - 1 <= x <= last_listed + 2:
-                    near_switch[x <= last_listed] += 1
-        assert near_switch[True] > 50 and near_switch[False] > 50, near_switch
+            # the divisor list serves the columns with x > 64r (r = 4x - p), the
+            # three progressions the band 8r < x <= 64r and the walks x <= 8r
+            edges = {k: max((x for x in range(p // 4 + 1, p) if x > k * (4 * x - p)),
+                            default=p // 4) for k in (64, 8)}
+            for x, y, _z in by_p[p]:
+                for k, edge in edges.items():
+                    if edge - 1 <= x <= edge + 2:
+                        near_switch[k, x <= edge] += 1
+                if edges[64] < x <= edges[8]:
+                    big_d = (4 * x - p) * y - p * x  # the divisor of (px)**2 behind the row
+                    band_types["d0" if big_d % p == 0 else "d" if big_d <= x else "e"] += 1
+        sides = [(k, below) for k in (64, 8) for below in (True, False)]
+        assert all(near_switch[side] > 50 for side in sides), near_switch
+        assert all(band_types[t] > 50 for t in ("d", "e", "d0")), band_types
 
     # p = 3: (2, 2, 3) has d = 4, e = 1 = u = (p + 1)/4 on the m = 1 walk;
     # p = 31: (8, 496, 496) has r = 1 and d0 = x = 8r, so s = (d0 + x)/r = 16;
@@ -164,6 +181,17 @@ class TestProgressions:
         assert d in enumeration._walked_hits(p, (8 * p - 1) // 31)[x]
         assert row in enumerate_fast(p).as_tuples()
 
+    # SHA-256 of repr(rows), frozen from an enumerator that listed the divisors
+    # of every column with x > 8r; both primes lie far past the range kernel's reach
+    @pytest.mark.parametrize("p, n_rows, digest", [
+        (999983, 521, "7a801e57564d75d33f79e2fdc599d3420d9220f0c9248355eff1175ed798081d"),
+        (9999991, 469, "3d4fe57a388796175d7c562f0e757ffe8a29ecaa99c6fa784fbc82049c7851c3"),
+    ])
+    def test_rows_at_the_top_of_the_range_are_pinned(self, p, n_rows, digest):
+        rows = enumerate_fast(p).as_tuples()
+        assert len(rows) == n_rows
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
     def test_refuses_primes_past_the_ceiling_before_sieving(self):
         p = next(q for q in range(FAST_LIMIT + 1, 2 * FAST_LIMIT) if is_prime(q))
         start = time.perf_counter()
@@ -176,19 +204,19 @@ class TestProgressions:
             small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
             return set(small) | {n // d for d in small}
 
-        # 1601 * 1607 has two prime factors past 1601, 2580642 is the last
+        # 1601 * 1607 has two prime factors past 1601, 2509801 is the last
         # listed column of 9999991 and (31 * 9999991 + 1) // 4 its largest
         # walked u; 8803**2 is the largest square of a trial prime.
-        for x in [*range(1, 20_001), 1601**2, 1601 * 1607, 2_580_642,
+        for x in [*range(1, 20_001), 1601**2, 1601 * 1607, 2_509_801,
                   (31 * 9999991 + 1) // 4, 8803**2, enumeration._FACTOR_LIMIT]:
             dx = divisors(x)
             assert sorted(_square_divisors(x)) == sorted({a * b for a in dx for b in dx}), x
 
     def test_factoring_bound_covers_both_enumerators(self):
         # enumerate_fast walks u = (m*p + 1)/4 with m <= 31 and lists
-        # x <= (8p - 1) // 31; stats enumerates the primes up to STATS_CEILING
+        # x <= (64p - 1) // 255; stats enumerates the primes up to STATS_CEILING
         assert (31 * FAST_LIMIT + 1) // 4 <= enumeration._FACTOR_LIMIT
-        assert (8 * FAST_LIMIT - 1) // 31 <= enumeration._FACTOR_LIMIT
+        assert (64 * FAST_LIMIT - 1) // 255 <= enumeration._FACTOR_LIMIT
         assert STATS_CEILING <= FAST_LIMIT
         # the smallest n with two prime factors past the trial primes
         next_prime = next(q for q in range(enumeration._TRIAL_PRIMES[-1] + 1, 10**5)
