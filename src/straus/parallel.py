@@ -32,8 +32,8 @@ def pmap(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> list[R]:
     rest is projected at its pace.  The sample is strided over the whole
     list, not its head, because a sweep's items are ascending primes that
     cost more as p grows.  The item before the sample runs before it,
-    untimed: a first call's one-time costs, such as numpy's import or a rule
-    table's validation, recur neither here nor in workers forked after it.
+    untimed: a first call's one-time cost, numpy's import, recurs neither
+    here nor in workers forked after it.
     """
     if workers <= 1 or len(items) < 2:
         return [fn(item) for item in items]

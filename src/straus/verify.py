@@ -9,14 +9,16 @@ Four claims are sweepable:
   conj5-pattern the same shape found through the x-side witness scan
 
 A sweep returns an exception ledger: the primes in range for which the claim
-fails, plus (optionally) the first witness per passing prime.  conj2 and
-conj3-pattern first try the solution their rule table builds for the prime
-(_certified); only the primes the table misses are enumerated.
+fails, plus (optionally) the first witness per passing prime.  conj1 tests one
+cell per x-column (_ia_cell).  Its first hit is type I(a), so also I(b), and
+certifies conj2; the conj5 witness is lcm-shaped and certifies conj3-pattern.
+A prime whose scan finds no hit of the claimed shape is enumerated.
 
-Every claim check works on plain integers: the enumerated (x, y, z) rows of
+Every claim check works on plain integers: the (x, y, z) of _ia_cell and of
 enumeration._solution_rows, the (witness, partner, scans) of _scan_window and
-_pattern_y.  Each row and each found witness is checked in exact integers.
-Only a stored or printed witness becomes a WitnessReport with its Triple.
+_pattern_y.  conj1's divisibility is its proof; every other hit, row and
+witness is checked in exact integers.  Only a stored or printed witness
+becomes a WitnessReport with its Triple.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from math import gcd, lcm
 from pathlib import Path
 from typing import IO
 
-from .construct import RuleViolationError, _rule_solution, load_rules, match_rule
-from .core import Triple, check_identity, next_boundary, offset_x, require_solution
+from .core import Triple, offset_x, require_solution
 from .enumeration import _solution_rows
 from .parallel import pmap
 from .sieve import PrimeRange, primes_in, require_prime
@@ -43,8 +44,8 @@ CLAIMS = ("conj1", "conj2", "conj3-pattern", "conj5-pattern")
 # Desk-scale ceilings: refuse sweeps whose worst case would blow the time
 # budget instead of silently grinding.  A whole CLI sweep from 2 to its
 # ceiling on one worker (2-vCPU box, Python 3.11, median of three): conj1
-# 5.3 s, conj2 4.0 s, conj5-pattern 4.4 s (11.7 s with witnesses).
-# conj3-pattern would take 5.2 s to 10^7 without witnesses, but --witnesses
+# 3.1 s, conj2 4.6 s, conj5-pattern 4.4 s (11.7 s with witnesses).
+# conj3-pattern would take 5.1 s to 10^7 without witnesses, but --witnesses
 # enumerates every prime (0.11-0.15 ms each from 10^6 to 10^7, and 8.5x the
 # primes below 10^7), so its ceiling stays 10^6 (6.3 s with witnesses).
 CLAIM_CEILINGS = {
@@ -59,9 +60,6 @@ CLAIM_CEILINGS = {
 # 3.6 * 10^8 (171 s for one; 2-vCPU box, Python 3.11), so larger p are
 # refused.  conj5's stops within 3 candidates to 10^15.
 CONJ3_WITNESS_CEILING = 10_000_000
-
-# The rule table that builds each claim's solution shape from p's residue class.
-_CLAIM_RULES = {"conj2": "theorem5", "conj3-pattern": "conjecture3-table"}
 
 
 def conj3_window(p: int) -> tuple[int, int]:
@@ -80,7 +78,9 @@ class WitnessReport:
     q = 4*witness - p and m = p*witness mod q; the witness property is that
     q - m divides the witness, which forces the lcm-shaped solution stored in
     `derived` (the witness is its y for "conj3-y", its x for "conj5-x").
-    early_exit_scans counts candidates examined before the hit.
+    early_exit_scans counts what was examined up to the hit: window values for
+    find_conj3_witness and find_conj5_witness, enumerated solutions in (x, y)
+    order for a stored conj3-pattern witness (_pattern_y).
     """
 
     p: int
@@ -193,34 +193,48 @@ def find_conj5_witness(p: int) -> WitnessReport | None:
     return _report(p, "conj5-x", _scan_window(p, *conj5_window(p)))
 
 
-def _ia_column_scan(p: int) -> bool:
-    """verify_type_Ia_exists for a prime p."""
-    for x in range(p // 4 + 1, (3 * p) // 4 + 1):
-        y = next_boundary(p, x)
-        if y < x:
-            continue
-        d = 4 * x * y - p * (x + y)
-        pxy = p * x * y
-        if pxy % d == 0 and pxy // d >= y:
-            return True
-    return False
+def _ia_cell(p: int) -> tuple[int, int, int] | None:
+    """(x, y, z) of the type I(a) solution with the smallest x, or None; p prime.
+
+    For odd p and p/4 < x <= p/2, q = 4x - p and the cell y = floor(px/q) + 1
+    has 4xy - p(x + y) = D = q - px mod q.  As D < p, gcd(D, q) = 1 and
+    qy = px + D, D divides pxy, making the cell a solution, iff D divides
+    x^2.  Past p/2, y <= x: the one y = x solution there, x = (p + 1)/2 for
+    p = 3 (mod 4), follows the hit at x = (p + 1)/4, where q = 1.
+    """
+    if p == 2:
+        return 1, 2, 2
+    for x in range(p // 4 + 1, p // 2 + 1):
+        q = 4 * x - p
+        d = q - p * x % q
+        if x * x % d == 0:
+            y = (p * x + d) // q
+            return x, y, p * x * y // d
+    return None
 
 
 def verify_type_Ia_exists(p: int) -> bool:
-    """Does some solution sit one step above the boundary in y?
-
-    Scans each x-column's single candidate y = floor(px/(4x-p)) + 1; that cell
-    is the only place a type I(a) solution can live, so this is equivalent to
-    enumerating and classifying but exits early.
-    """
+    """Does some solution sit one step above the boundary in y?  One
+    divisibility per x-column (_ia_cell) decides it without enumerating."""
     require_prime(p)
-    return _ia_column_scan(p)
+    return _ia_cell(p) is not None
+
+
+def _ib_exists(p: int) -> bool:
+    """verify_type_Ib_exists for a prime p.  An I(a) solution is also I(b):
+    _ia_cell's checked hit decides most primes, and the rest are enumerated."""
+    hit = _ia_cell(p)
+    if hit is not None:
+        require_solution(p, *hit)
+        if offset_x(p, hit[0], hit[1]) == 1:
+            return True
+    return any(offset_x(p, x, y) == 1 for x, y, _z in _solution_rows(p))
 
 
 def verify_type_Ib_exists(p: int) -> bool:
     """Does some solution sit one step above the boundary in x?"""
     require_prime(p)
-    return any(offset_x(p, x, y) == 1 for x, y, _z in _solution_rows(p))
+    return _ib_exists(p)
 
 
 def _pattern_y(p: int) -> tuple[int, int, int] | None:
@@ -237,57 +251,32 @@ def _pattern_y(p: int) -> tuple[int, int, int] | None:
     return None
 
 
-def _certified(claim: str, p: int) -> bool:
-    """Does the claim's rule table give p a solution of the claimed shape?
-
-    The matched rule's solution (construct._rule_solution) is type I(b) by
-    construction, which is conj2's shape.  conj3-pattern also needs its x to
-    be the lcm partner of y; then d = gcd(x, y) (see _lcm_partner), so its z
-    is p*lcm(x, y).  The table is not trusted: a rule that breaks its promise
-    gives False, and the solution is checked with exact integers.  The
-    certificate exists only for speed: it builds no Triple and skips the
-    enumeration that would otherwise decide p.  gcd(p, y) = 1 needs no test:
-    an lcm partner of y never exists when the prime p divides y (see
-    _scan_window).
-    """
-    rule = match_rule(load_rules(_CLAIM_RULES[claim]), p)
-    if rule is None:
-        return False
-    try:
-        x, y, z = _rule_solution(rule, p)
-    except RuleViolationError:
-        return False
-    if claim == "conj3-pattern" and _lcm_partner(p, y) != x:
-        return False
-    return x <= y <= z and check_identity(p, x, y, z)
-
-
 def _check_claim(claim: str, store: bool, p: int) -> tuple[int, bool, WitnessReport | None]:
     """(p, does the claim hold at p, stored witness); top level so sweeps can fork.
 
     p is prime: sweeps take it from primes_in, so no check here tests it again.
-    conj2 and conj3-pattern try the rule certificate first and enumerate only
-    when it fails; a stored conj3 witness is still the first solution in
-    (x, y) order, so that path always enumerates.  Only a stored witness is
-    built as a WitnessReport, whose Triple checks it; otherwise enumerated
-    rows are checked by _solution_rows and a conj5 witness here.
+    Without stored witnesses, conj3-pattern takes the conj5 witness when its
+    x is the lcm partner of its y, and enumerates only when there is none; a
+    stored conj3 witness is the first solution in (x, y) order, so that path
+    always enumerates.  Only a stored witness is built as a WitnessReport,
+    whose Triple checks it; a scan's unstored hit is checked here.
     """
     if claim == "conj1":
-        return p, _ia_column_scan(p), None
+        return p, _ia_cell(p) is not None, None
     if claim == "conj2":
-        ib = _certified(claim, p) or any(offset_x(p, x, y) == 1 for x, y, _z in _solution_rows(p))
-        return p, ib, None
-    if claim == "conj3-pattern" and not store:
-        return p, _certified(claim, p) or _pattern_y(p) is not None, None
+        return p, _ib_exists(p), None
     conj3 = claim == "conj3-pattern"
-    found = _pattern_y(p) if conj3 else _scan_window(p, *conj5_window(p))
     if store:
+        found = _pattern_y(p) if conj3 else _scan_window(p, *conj5_window(p))
         report = _report(p, "conj3-y" if conj3 else "conj5-x", found)
         return p, report is not None, report
+    found = _scan_window(p, *conj5_window(p))
     if found is not None:
         x, y, _scans = found
         require_solution(p, x, y, p * lcm(x, y))
-    return p, found is not None, None
+        if not conj3 or _lcm_partner(p, y) == x:
+            return p, True, None
+    return p, conj3 and _pattern_y(p) is not None, None
 
 
 @dataclass(frozen=True)
@@ -320,8 +309,7 @@ def sweep(
 
     Partitioning across workers never changes the result; the ledger merge is
     a plain ordered concatenation.  A sweep too cheap to pay for a pool runs
-    in-process at any worker count; pmap's in-process items load a claim's
-    rule table before any pool forks, so the workers inherit it.
+    in-process at any worker count.
     """
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")

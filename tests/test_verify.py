@@ -1,20 +1,25 @@
 import io
-import multiprocessing
 import time
 from collections import Counter
 from math import gcd, lcm
 
 import pytest
 
-from straus import core, parallel, sieve, verify
-from straus.construct import ResidueRule, RuleSet, construct_solution, load_rules, match_rule
+from straus import construct, core, sieve, verify
+from straus.construct import (
+    ResidueRule,
+    RuleSet,
+    RuleViolationError,
+    construct_solution,
+    load_rules,
+    match_rule,
+)
 from straus.core import BoundaryValue, Triple, check_identity, classify, next_boundary, offset_x
 from straus.enumeration import enumerate_fast
 from straus.sieve import PrimeRange, primes_in
 from straus.verify import (
     ExceptionLedger,
     WitnessReport,
-    _certified,
     _check_claim,
     check_conj3_witness,
     check_conj5_witness,
@@ -230,10 +235,14 @@ class TestTypeExistence:
         assert verify_type_Ib_exists(p)
 
     def test_agrees_with_enumeration(self):
-        for p in primes_in(PrimeRange(2, 300)):
-            classes = [classify(t) for t in enumerate_fast(p)]
-            assert verify_type_Ia_exists(p) == any(c.is_ia for c in classes)
-            assert verify_type_Ib_exists(p) == any(c.is_ib for c in classes)
+        for p in primes_in(PrimeRange(2, 3000)):
+            triples = enumerate_fast(p).triples
+            ia_x = [t.x for t in triples if classify(t).is_ia]
+            assert verify_type_Ia_exists(p) == bool(ia_x), p
+            assert verify_type_Ib_exists(p) == any(classify(t).is_ib for t in triples), p
+            # the first column hit is the I(a) row with the smallest x
+            hit = verify._ia_cell(p)
+            assert (hit[0] if hit else None) == min(ia_x, default=None), p
 
 
 class TestSweep:
@@ -298,9 +307,6 @@ class TestSweep:
     @pytest.mark.parametrize("claim", verify.CLAIMS)
     def test_sweeps_trust_the_sieve(self, claim, store, monkeypatch):
         # primes_in decides primality once; no per-prime check tests it again.
-        # Rule validation samples primes with is_prime, so it runs before the count.
-        for table in ("theorem5", "conjecture3-table"):
-            load_rules(table)
         calls = []
         is_prime = sieve.is_prime
         monkeypatch.setattr(sieve, "is_prime", lambda n: calls.append(n) or is_prime(n))
@@ -384,20 +390,10 @@ class TestLedgerCsv:
 TABLES = {"conj2": "theorem5", "conj3-pattern": "conjecture3-table"}
 
 
-def _rule_triple(claim, p):
-    """The (x, y, z) the claim's table promises p, built here from the
-    matched rule: x = floor(py/(4y - p)) + 1 and z from the identity (conj2)
-    or z = p*lcm(x, y) (conj3-pattern).  None if no rule matches."""
-    rule = match_rule(load_rules(TABLES[claim]), p)
-    if rule is None:
-        return None
-    y = rule.evaluate(p)
-    x = next_boundary(p, y)
-    z = p * x * y // (4 * x * y - p * (x + y)) if claim == "conj2" else p * lcm(x, y)
-    return x, y, z
-
-
 class TestRuleCertificate:
+    """The scan hits that certify conj2 and conj3-pattern, and the rule tables,
+    which serve only construct."""
+
     @pytest.mark.parametrize("claim", ["conj2", "conj3-pattern"])
     def test_claim_answer_equals_enumeration_to_20000(self, claim):
         for p in primes_in(PrimeRange(2, 20_000)):
@@ -405,17 +401,6 @@ class TestRuleCertificate:
                 verify_type_Ib_exists(p) if claim == "conj2" else _pattern_y_report(p) is not None
             )
             assert _check_claim(claim, False, p)[1] == expected, p
-
-    def test_certified_exactly_when_rule_triple_is_enumerated_to_3000(self):
-        primes = primes_in(PrimeRange(2, 3000))
-        certified = {claim: 0 for claim in TABLES}
-        for p in primes:
-            solutions = enumerate_fast(p).as_tuples()
-            for claim in TABLES:
-                ok = _certified(claim, p)
-                assert ok == (_rule_triple(claim, p) in solutions), (claim, p)
-                certified[claim] += ok
-        assert all(n > 0.9 * len(primes) for n in certified.values()), certified
 
     @pytest.mark.parametrize("claim", ["conj2", "conj3-pattern"])
     def test_ledgers_equal_at_one_and_two_workers_to_10000(self, claim):
@@ -438,7 +423,27 @@ class TestRuleCertificate:
             for store in (False, True):
                 assert _check_claim("conj3-pattern", store, p)[:2] == (p, True)
         assert _check_claim("conj3-pattern", False, 999983) == (999983, True, None)
-        assert _certified("conj2", 999983)
+        assert _check_claim("conj2", False, 999983) == (999983, True, None)
+
+    def test_sweeps_read_no_rule_table(self):
+        load_rules.cache_clear()
+        for claim in verify.CLAIMS:
+            for store in (False, True):
+                sweep(claim, PrimeRange(2, 3000), store_witnesses=store)
+        assert load_rules.cache_info().currsize == 0
+
+    def test_scan_hit_of_the_wrong_shape_is_enumerated(self, monkeypatch):
+        # Both cells hold 4/17 = 1/5 + 1/30 + 1/510, in the wrong roles: x = 510
+        # is not 30's boundary neighbour, and 5 has no lcm partner, so 30 is not
+        # the x that y = 5 implies.  Each prime falls back to enumeration.
+        enumerated = []
+        rows = verify._solution_rows
+        monkeypatch.setattr(verify, "_solution_rows", lambda p: enumerated.append(p) or rows(p))
+        monkeypatch.setattr(verify, "_ia_cell", lambda p: (510, 30, 5))
+        monkeypatch.setattr(verify, "_scan_window", lambda p, lo, hi: (30, 5, 1))
+        assert _check_claim("conj2", False, 17) == (17, True, None)
+        assert _check_claim("conj3-pattern", False, 17) == (17, True, None)
+        assert enumerated == [17, 17]
 
     @pytest.mark.parametrize("claim", ["conj2", "conj3-pattern"])
     @pytest.mark.parametrize(
@@ -454,11 +459,17 @@ class TestRuleCertificate:
         ids=["y+1", "y-below-x", "y-above-z", "non-integral", "below-pole", "pole-divides"],
     )
     def test_broken_rule_is_not_trusted(self, monkeypatch, claim, p, wrong):
+        # construct refuses a broken rule or builds a real solution (Triple
+        # checks it), and no sweep reads the table
         r = PrimeRange(2, 300)
         before = sweep(claim, r)
         rule = wrong(match_rule(load_rules(TABLES[claim]), p))
-        monkeypatch.setattr(verify, "load_rules", lambda provenance: RuleSet(provenance, (rule,)))
-        assert not _certified(claim, p)
+        try:
+            built = construct_solution(rule, p).as_tuple()
+        except RuleViolationError:
+            built = None
+        assert built is None or built in enumerate_fast(p).as_tuples()
+        monkeypatch.setattr(construct, "load_rules", lambda provenance: RuleSet(provenance, (rule,)))
         assert _check_claim(claim, False, p)[1]
         assert sweep(claim, r) == before
 
@@ -471,23 +482,9 @@ class TestRuleCertificate:
         # pole-divides: y = (p + 1)/4 makes 4y - p = 1 divide py, so x = py + 1 > y
         assert next_boundary(11, 3) == 34
 
-    def test_sweep_loads_the_table_before_forking(self, monkeypatch):
-        # pmap's in-process sample runs _certified, which loads the table
-        cached_at_fork = []
-
-        def get_context(method):
-            cached_at_fork.append(verify.load_rules.cache_info().currsize)
-            return multiprocessing.get_context(method)
-
-        monkeypatch.setattr(parallel, "get_context", get_context)
-        monkeypatch.setattr(parallel, "_POOL_START_S", -1.0)  # a pool always pays
-        verify.load_rules.cache_clear()
-        sweep("conj2", PrimeRange(2, 200), workers=2)
-        assert cached_at_fork == [1]
-
     def test_certificate_refuses_composite(self):
-        # 6001 = 17 * 353 is in a theorem5 class; _certified trusts its prime,
-        # so the public entry points are the ones that refuse it
+        # 6001 = 17 * 353 is in a theorem5 class; the claim checks trust their
+        # primes, so the public entry points are the ones that refuse it
         rule = match_rule(load_rules("theorem5"), 6001)
         with pytest.raises(ValueError, match="not prime"):
             construct_solution(rule, 6001)
