@@ -75,8 +75,8 @@ def next_boundary(p: int, a: int) -> int:
 class Triple:
     """A verified solution (p, x, y, z) of 4/p = 1/x + 1/y + 1/z, x <= y <= z.
 
-    Construction sorts the three denominators, checks the identity exactly
-    and checks the forced window p/4 < x <= 3p/4.
+    Construction sorts the three denominators (when they are out of order),
+    checks the identity exactly and checks the forced window p/4 < x <= 3p/4.
     """
 
     p: int
@@ -85,10 +85,12 @@ class Triple:
     z: int
 
     def __post_init__(self) -> None:
-        x, y, z = sorted((self.x, self.y, self.z))
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        x, y, z = self.x, self.y, self.z
+        if not x <= y <= z:
+            x, y, z = sorted((x, y, z))
+            object.__setattr__(self, "x", x)
+            object.__setattr__(self, "y", y)
+            object.__setattr__(self, "z", z)
         require_solution(self.p, x, y, z)
         if not (self.p < 4 * x and 4 * x <= 3 * self.p):
             raise ValueError(f"x = {x} outside the forced window (p/4, 3p/4] for p = {self.p}")

@@ -1,7 +1,8 @@
 """Order-preserving map with optional process workers.
 
-Range sweeps partition per prime; results merge by input order, so the output
-is byte-identical regardless of worker count.
+stats maps its primes one by one and verify its blocks of primes; results
+merge by input order, so the output is byte-identical regardless of worker
+count.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ def pmap(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> list[R]:
     more than a pool costs.
 
     A timed sample of every (8 * workers)-th item runs here first, and the
-    rest is projected at its pace.  The sample is strided over the whole
-    list, not its head, because a sweep's items are ascending primes that
-    cost more as p grows.  The item before the sample runs before it,
-    untimed: a first call's one-time cost, numpy's import, recurs neither
-    here nor in workers forked after it.
+    rest is projected at its pace: the workers save the time of every item
+    but the busiest worker's share.  The sample is strided over the whole
+    list, not its head, because a sweep's items, ascending primes for stats
+    and blocks of them for verify, cost more as p grows.  The item before
+    the sample runs before it, untimed: a first call's one-time cost,
+    numpy's import, recurs neither here nor in workers forked after it.
     """
     if workers <= 1 or len(items) < 2:
         return [fn(item) for item in items]
@@ -43,8 +45,8 @@ def pmap(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> list[R]:
     start = perf_counter()
     done.update((i, fn(items[i])) for i in timed)
     rest = [i for i in range(len(items)) if i not in done]
-    rest_s = (perf_counter() - start) * len(rest) / len(timed)
-    if rest_s * (1 - 1 / workers) > _POOL_START_S:
+    item_s = (perf_counter() - start) / len(timed)
+    if item_s * (len(rest) - -(-len(rest) // workers)) > _POOL_START_S:
         # Pool.map, not a nested pmap, which perfbench's pmap wrapper would time twice
         with get_context("fork").Pool(workers) as pool:
             mapped = pool.map(fn, [items[i] for i in rest],

@@ -14,11 +14,15 @@ cell per x-column (_ia_cell).  Its first hit is type I(a), so also I(b), and
 certifies conj2; the conj5 witness is lcm-shaped and certifies conj3-pattern.
 A prime whose scan finds no hit of the claimed shape is enumerated.
 
-Every claim check works on plain integers: the (x, y, z) of _ia_cell and of
+Sweeps scan the windows of a block of primes at once, in numpy
+(_first_cells); the single-prime entry points scan one cell at a time in
+plain Python (_ia_cell, _scan_window) and never load numpy.  Every claim
+check works on plain integers: the (x, y, z) of _ia_cell and of
 enumeration._solution_rows, the (witness, partner, scans) of _scan_window and
-_pattern_y.  conj1's divisibility is its proof; every other hit, row and
-witness is checked in exact integers.  Only a stored or printed witness
-becomes a WitnessReport with its Triple.
+_pattern_y, and each kernel hit rebuilt as those (_hits).  conj1's
+divisibility is its proof; every other hit, row and witness is checked in
+exact integers.  Only a stored or printed witness becomes a WitnessReport
+with its Triple.
 """
 
 from __future__ import annotations
@@ -27,10 +31,10 @@ from dataclasses import dataclass
 from functools import partial
 from math import gcd, lcm
 from pathlib import Path
-from typing import IO
+from typing import IO, Sequence
 
 from .core import Triple, offset_x, require_solution
-from .enumeration import _solution_rows
+from .enumeration import _CELL_BLOCK, _solution_rows
 from .parallel import pmap
 from .sieve import PrimeRange, primes_in, require_prime
 from .sink import write_to
@@ -43,11 +47,12 @@ CLAIMS = ("conj1", "conj2", "conj3-pattern", "conj5-pattern")
 
 # Desk-scale ceilings: refuse sweeps whose worst case would blow the time
 # budget instead of silently grinding.  A whole CLI sweep from 2 to its
-# ceiling on one worker (2-vCPU box, Python 3.11, median of three): conj1
-# 3.1 s, conj2 4.6 s, conj5-pattern 4.4 s (11.7 s with witnesses).
-# conj3-pattern would take 5.1 s to 10^7 without witnesses, but --witnesses
-# enumerates every prime (0.11-0.15 ms each from 10^6 to 10^7, and 8.5x the
-# primes below 10^7), so its ceiling stays 10^6 (6.3 s with witnesses).
+# ceiling on one worker (fresh process, 2-vCPU box, Python 3.11, median of
+# three): conj1 2.2 s, conj2 2.8 s, conj5-pattern 2.0 s (6.8 s with
+# witnesses).  conj3-pattern would take 2.8 s to 10^7 without witnesses, but
+# --witnesses enumerates every prime (0.11-0.15 ms each from 10^6 to 10^7,
+# and 8.5x the primes below 10^7), so its ceiling stays 10^6 (6.2 s with
+# witnesses).
 CLAIM_CEILINGS = {
     "conj1": 10_000_000,
     "conj2": 10_000_000,
@@ -193,6 +198,17 @@ def find_conj5_witness(p: int) -> WitnessReport | None:
     return _report(p, "conj5-x", _scan_window(p, *conj5_window(p)))
 
 
+def _ia_at(p: int, x: int) -> tuple[int, int, int] | None:
+    """(x, y, z) if column x's cell y = floor(px/q) + 1, q = 4x - p, is a
+    solution by _ia_cell's criterion D | x^2, else None; p odd, x > p/4."""
+    q = 4 * x - p
+    d = q - p * x % q
+    if x * x % d:
+        return None
+    y = (p * x + d) // q
+    return x, y, p * x * y // d
+
+
 def _ia_cell(p: int) -> tuple[int, int, int] | None:
     """(x, y, z) of the type I(a) solution with the smallest x, or None; p prime.
 
@@ -205,12 +221,88 @@ def _ia_cell(p: int) -> tuple[int, int, int] | None:
     if p == 2:
         return 1, 2, 2
     for x in range(p // 4 + 1, p // 2 + 1):
-        q = 4 * x - p
-        d = q - p * x % q
-        if x * x % d == 0:
-            y = (p * x + d) // q
-            return x, y, p * x * y // d
+        hit = _ia_at(p, x)
+        if hit is not None:
+            return hit
     return None
+
+
+# The largest p whose cells _first_cells tests in int64; every sweep ceiling
+# lies within it.
+_CELL_LIMIT = 10_000_000
+
+# Sweeps check their primes in blocks of this many: one _first_cells call
+# per block, and one pmap item.
+_PRIME_BLOCK = 1 << 12
+
+
+def _first_cells(primes: Sequence[int], lcm_shaped: bool) -> list[int]:
+    """For each prime p <= _CELL_LIMIT, the first x in p/4 < x <= p/2 whose
+    cell hits, or 0.  With q = 4x - p, m = px mod q and D = q - m, x hits
+    - for the type I(a) cell (_ia_at, odd p) when D | x^2;
+    - when lcm_shaped, for the lcm partner (_lcm_partner) when m != 0,
+      D | x and D | floor(px/q) + 1.
+
+    The windows are tested in rounds over the primes still without a hit,
+    each prime's next `width` cells per round; a prime leaves the rounds at
+    its first hit or at the end of its window.  Most primes hit within a
+    few cells and a few need thousands, so width starts at 1 and doubles
+    each round, up to about _CELL_BLOCK cells per round.  int64 is exact:
+    p <= 10^7 keeps p*x and x*x below 10^14, even in the cells a round
+    tests past a window's end.
+    """
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
+    if not primes:
+        return []
+    if max(primes) > _CELL_LIMIT:
+        raise ValueError(f"p = {max(primes)} exceeds the cell kernel's bound {_CELL_LIMIT}")
+    p_all = np.array(primes, dtype=np.int64)
+    nxt = p_all // 4 + 1  # each prime's next untested x
+    end = p_all // 2
+    first = np.zeros_like(p_all)
+    live = np.flatnonzero(nxt <= end)
+    width = 1
+    while live.size:
+        p, lo = p_all[live, None], nxt[live, None]
+        x = lo + np.arange(width)
+        q = 4 * x - p
+        px = p * x
+        d = q - px % q
+        if lcm_shaped:
+            hit = x % d == 0
+            k = np.flatnonzero(hit)  # the few cells with D | x take the other tests
+            hit.flat[k] = (d.flat[k] < q.flat[k]) & (
+                (px.flat[k] // q.flat[k] + 1) % d.flat[k] == 0)
+        else:
+            hit = x * x % d == 0
+        hit &= x <= end[live, None]
+        row = hit.any(axis=1)
+        first[live[row]] = lo[row, 0] + hit[row].argmax(axis=1)
+        nxt[live] += width
+        live = live[~row & (nxt[live] <= end[live])]
+        width = min(2 * width, max(1, _CELL_BLOCK // max(1, live.size)))
+    return first.tolist()
+
+
+def _hits(primes: Sequence[int], lcm_shaped: bool) -> list[tuple[int, int, int] | None]:
+    """[_scan_window(p, *conj5_window(p)) if lcm_shaped else _ia_cell(p)]
+    for the primes, from _first_cells' hits, each rebuilt and checked in
+    exact integers.  2, the one even prime, takes _ia_cell's special case."""
+    found: list[tuple[int, int, int] | None] = []
+    for p, x in zip(primes, _first_cells(primes, lcm_shaped)):
+        if not x:
+            found.append(_ia_cell(p) if p == 2 and not lcm_shaped else None)
+            continue
+        if lcm_shaped:
+            b = _lcm_partner(p, x)
+            hit = None if b is None else (x, b, x - conj5_window(p)[0] + 1)
+        else:
+            hit = _ia_at(p, x)
+        if hit is None:
+            raise AssertionError(f"kernel cell x = {x} for p = {p} fails in exact integers")
+        found.append(hit)
+    return found
 
 
 def verify_type_Ia_exists(p: int) -> bool:
@@ -220,10 +312,10 @@ def verify_type_Ia_exists(p: int) -> bool:
     return _ia_cell(p) is not None
 
 
-def _ib_exists(p: int) -> bool:
-    """verify_type_Ib_exists for a prime p.  An I(a) solution is also I(b):
-    _ia_cell's checked hit decides most primes, and the rest are enumerated."""
-    hit = _ia_cell(p)
+def _ib_exists(p: int, hit: tuple[int, int, int] | None) -> bool:
+    """verify_type_Ib_exists for a prime p whose _ia_cell is `hit`.  An I(a)
+    solution is also I(b): the checked hit decides most primes, and the rest
+    are enumerated."""
     if hit is not None:
         require_solution(p, *hit)
         if offset_x(p, hit[0], hit[1]) == 1:
@@ -234,7 +326,7 @@ def _ib_exists(p: int) -> bool:
 def verify_type_Ib_exists(p: int) -> bool:
     """Does some solution sit one step above the boundary in x?"""
     require_prime(p)
-    return _ib_exists(p)
+    return _ib_exists(p, _ia_cell(p))
 
 
 def _pattern_y(p: int) -> tuple[int, int, int] | None:
@@ -251,32 +343,53 @@ def _pattern_y(p: int) -> tuple[int, int, int] | None:
     return None
 
 
-def _check_claim(claim: str, store: bool, p: int) -> tuple[int, bool, WitnessReport | None]:
-    """(p, does the claim hold at p, stored witness); top level so sweeps can fork.
+def _decide(claim: str, store: bool, p: int, found: tuple[int, int, int] | None
+            ) -> tuple[int, bool, WitnessReport | None]:
+    """(p, does the claim hold at p, stored witness), given the prime's scan
+    result `found` (see _check_block).
 
-    p is prime: sweeps take it from primes_in, so no check here tests it again.
     Without stored witnesses, conj3-pattern takes the conj5 witness when its
-    x is the lcm partner of its y, and enumerates only when there is none; a
-    stored conj3 witness is the first solution in (x, y) order, so that path
-    always enumerates.  Only a stored witness is built as a WitnessReport,
-    whose Triple checks it; a scan's unstored hit is checked here.
+    x is the lcm partner of its y, and enumerates only when there is none.
+    Only a stored witness is built as a WitnessReport, whose Triple checks
+    it; an unstored hit is checked here.
     """
     if claim == "conj1":
-        return p, _ia_cell(p) is not None, None
+        return p, found is not None, None
     if claim == "conj2":
-        return p, _ib_exists(p), None
+        return p, _ib_exists(p, found), None
     conj3 = claim == "conj3-pattern"
     if store:
-        found = _pattern_y(p) if conj3 else _scan_window(p, *conj5_window(p))
         report = _report(p, "conj3-y" if conj3 else "conj5-x", found)
         return p, report is not None, report
-    found = _scan_window(p, *conj5_window(p))
     if found is not None:
         x, y, _scans = found
         require_solution(p, x, y, p * lcm(x, y))
         if not conj3 or _lcm_partner(p, y) == x:
             return p, True, None
     return p, conj3 and _pattern_y(p) is not None, None
+
+
+def _check_block(claim: str, store: bool, primes: Sequence[int]
+                 ) -> list[tuple[int, bool, WitnessReport | None]]:
+    """[(p, does the claim hold at p, stored witness)] for each prime; top
+    level so sweeps can fork.
+
+    The primes are prime: sweeps take them from primes_in, so no check here
+    tests them again.  conj1 and conj2 decide from the type I(a) cells, the
+    other claims from the conj5 witnesses (_hits), except that a stored
+    conj3 witness is the first solution in (x, y) order (_pattern_y), so
+    that path always enumerates.
+    """
+    if claim == "conj3-pattern" and store:
+        found = [_pattern_y(p) for p in primes]
+    else:
+        found = _hits(primes, lcm_shaped=claim not in ("conj1", "conj2"))
+    return [_decide(claim, store, p, f) for p, f in zip(primes, found)]
+
+
+def _check_claim(claim: str, store: bool, p: int) -> tuple[int, bool, WitnessReport | None]:
+    """_check_block for the one prime p."""
+    return _check_block(claim, store, (p,))[0]
 
 
 @dataclass(frozen=True)
@@ -296,7 +409,7 @@ class ExceptionLedger:
         """Re-verify on demand that every listed exception still fails."""
         for p in self.exceptions:
             require_prime(p)  # caller data, not a sweep's sieved primes
-        return all(not _check_claim(self.claim, False, p)[1] for p in self.exceptions)
+        return not any(ok for _p, ok, _w in _check_block(self.claim, False, self.exceptions))
 
 
 def sweep(
@@ -305,7 +418,8 @@ def sweep(
     workers: int = 1,
     store_witnesses: bool = False,
 ) -> ExceptionLedger:
-    """Run the claim's per-prime verifier over every prime in r.
+    """Run the claim's verifier over every prime in r, in blocks of
+    _PRIME_BLOCK primes.
 
     Partitioning across workers never changes the result; the ledger merge is
     a plain ordered concatenation.  A sweep too cheap to pay for a pool runs
@@ -314,7 +428,10 @@ def sweep(
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
     r.require_within(CLAIM_CEILINGS[claim], claim)
-    results = pmap(partial(_check_claim, claim, store_witnesses), primes_in(r), workers)
+    primes = primes_in(r)
+    blocks = [primes[i : i + _PRIME_BLOCK] for i in range(0, len(primes), _PRIME_BLOCK)]
+    checked = pmap(partial(_check_block, claim, store_witnesses), blocks, workers)
+    results = [row for block in checked for row in block]
     exceptions = tuple(p for (p, ok, _w) in results if not ok)
     witnesses = tuple(w for (_p, _ok, w) in results if w is not None)
     return ExceptionLedger(claim, r, exceptions, witnesses)

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +109,10 @@ class TestTriple:
     def test_canonicalizes_order(self):
         t = Triple(17, 170, 5, 34)
         assert t.as_tuple() == (5, 34, 170)
+
+    def test_canonicalizes_every_order(self):
+        for order in permutations((5, 34, 170)):
+            assert Triple(17, *order).as_tuple() == (5, 34, 170), order
 
     def test_rejects_non_solution(self):
         with pytest.raises(ValueError):

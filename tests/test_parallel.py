@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from straus import parallel
+from straus import parallel, verify
 from straus.parallel import pmap
 from straus.sieve import PrimeRange
 from straus.verify import sweep
@@ -71,6 +71,13 @@ class TestPmap:
         items = [(i, 1e-4) for i in range(1000)]
         assert all(_in_parent(pmap(_first_call_costly, items, workers=2)))
 
+    def test_one_costly_item_left_opens_no_pool(self, fake_clock, monkeypatch):
+        # item 0 warms up and item 1 is timed; a pool would run item 2 on one
+        # worker while the other idles, saving nothing
+        monkeypatch.setattr(parallel, "get_context", _no_pool)
+        results = pmap(_costed, [(i, 10.0) for i in range(3)], workers=2)
+        assert all(_in_parent(results))
+
     def test_one_item_opens_no_pool(self, monkeypatch):
         monkeypatch.setattr(parallel, "get_context", _no_pool)
         monkeypatch.setattr(parallel, "_POOL_START_S", -1.0)  # a pool always pays
@@ -114,6 +121,7 @@ class TestSampledPmap:
     def test_sweeps_are_probed(self, fake_clock, monkeypatch):
         # the fake clock stands still, so the sample projects no cost
         monkeypatch.setattr(parallel, "get_context", _no_pool)
+        monkeypatch.setattr(verify, "_PRIME_BLOCK", 100)  # 13 blocks, not one
         r = PrimeRange(2, 10_000)
         assert sweep("conj1", r, workers=2).exceptions == (193,)
 
@@ -127,6 +135,7 @@ class TestSampledPmap:
          ("conj3-pattern", True), ("conj5-pattern", True)],
     )
     def test_forked_ledgers_equal_in_process_ones(self, claim, store, monkeypatch):
+        monkeypatch.setattr(verify, "_PRIME_BLOCK", 100)  # 13 blocks, not one
         r = PrimeRange(2, 10_000)
         expected = sweep(claim, r, workers=1, store_witnesses=store)
         monkeypatch.setattr(parallel, "_POOL_START_S", -1.0)

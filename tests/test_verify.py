@@ -1,10 +1,15 @@
 import io
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
+import straus
 from straus import construct, core, sieve, verify
 from straus.construct import (
     ResidueRule,
@@ -245,6 +250,40 @@ class TestTypeExistence:
             assert (hit[0] if hit else None) == min(ia_x, default=None), p
 
 
+class TestCellKernel:
+    """The numpy kernel that sweeps run against the scalar scans that the
+    single-prime entry points run."""
+
+    @pytest.mark.parametrize("cell_block", [verify._CELL_BLOCK, 7])
+    def test_kernel_equals_the_scalar_scans_to_200000(self, cell_block, monkeypatch):
+        monkeypatch.setattr(verify, "_CELL_BLOCK", cell_block)
+        primes = primes_in(PrimeRange(2, 200_000))
+        ia = verify._hits(primes, lcm_shaped=False)
+        assert ia == [verify._ia_cell(p) for p in primes]
+        found = verify._hits(primes, lcm_shaped=True)  # (x, partner, scans)
+        assert found == [verify._scan_window(p, *conj5_window(p)) for p in primes]
+        assert [p for p, hit in zip(primes, ia) if hit is None] == [193]
+        assert [p for p, hit in zip(primes, found) if hit is None] == [2, 3, 7, 47, 193, 2521]
+
+    def test_kernel_refuses_primes_past_its_int64_bound(self):
+        assert max(verify.CLAIM_CEILINGS.values()) <= verify._CELL_LIMIT
+        with pytest.raises(ValueError, match="exceeds the cell kernel's bound 10000000"):
+            verify._first_cells([10_000_019], lcm_shaped=True)
+
+    def test_single_prime_entry_points_leave_numpy_unloaded(self):
+        src = Path(straus.__file__).resolve().parent.parent
+        code = ("import sys\n"
+                "from straus import cli, verify_type_Ia_exists, verify_type_Ib_exists\n"
+                "for kind in ('conj3', 'conj5'):\n"
+                "    cli.main(['witness', kind, '17'])\n"
+                "cli.main(['witness', 'conj5', '9999991'])\n"
+                "assert verify_type_Ia_exists(9999991) and verify_type_Ib_exists(9999991)\n"
+                "sys.exit('numpy' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              stdout=subprocess.DEVNULL).returncode == 0
+
+
 class TestSweep:
     def test_conj1_to_1000(self):
         ledger = sweep("conj1", PrimeRange(2, 1000))
@@ -398,12 +437,14 @@ class TestRuleCertificate:
     def test_claim_answer_equals_enumeration_to_20000(self, claim):
         for p in primes_in(PrimeRange(2, 20_000)):
             expected = (
-                verify_type_Ib_exists(p) if claim == "conj2" else _pattern_y_report(p) is not None
+                any(classify(t).is_ib for t in enumerate_fast(p).triples) if claim == "conj2"
+                else _pattern_y_report(p) is not None
             )
             assert _check_claim(claim, False, p)[1] == expected, p
 
     @pytest.mark.parametrize("claim", ["conj2", "conj3-pattern"])
-    def test_ledgers_equal_at_one_and_two_workers_to_10000(self, claim):
+    def test_ledgers_equal_at_one_and_two_workers_to_10000(self, claim, monkeypatch):
+        monkeypatch.setattr(verify, "_PRIME_BLOCK", 100)  # 13 blocks, not one
         r = PrimeRange(2, 10_000)
         assert sweep(claim, r, workers=1) == sweep(claim, r, workers=2)
 
@@ -433,17 +474,28 @@ class TestRuleCertificate:
         assert load_rules.cache_info().currsize == 0
 
     def test_scan_hit_of_the_wrong_shape_is_enumerated(self, monkeypatch):
-        # Both cells hold 4/17 = 1/5 + 1/30 + 1/510, in the wrong roles: x = 510
-        # is not 30's boundary neighbour, and 5 has no lcm partner, so 30 is not
-        # the x that y = 5 implies.  Each prime falls back to enumeration.
+        # Both kernel cells rebuild to 4/17 = 1/5 + 1/30 + 1/510, in the wrong
+        # roles: the I(a) cell x = 510 gives (510, 5, 30), where x is not 5's
+        # boundary neighbour, and 5 has no lcm partner, so the conj5 cell 30
+        # is not the x that y = 5 implies.  Each prime falls back to
+        # enumeration.
         enumerated = []
         rows = verify._solution_rows
         monkeypatch.setattr(verify, "_solution_rows", lambda p: enumerated.append(p) or rows(p))
-        monkeypatch.setattr(verify, "_ia_cell", lambda p: (510, 30, 5))
-        monkeypatch.setattr(verify, "_scan_window", lambda p, lo, hi: (30, 5, 1))
+        monkeypatch.setattr(verify, "_first_cells",
+                            lambda primes, lcm_shaped: [30 if lcm_shaped else 510])
+        assert verify._hits([17], False) == [(510, 5, 30)]
+        assert verify._hits([17], True) == [(30, 5, 26)]
         assert _check_claim("conj2", False, 17) == (17, True, None)
         assert _check_claim("conj3-pattern", False, 17) == (17, True, None)
         assert enumerated == [17, 17]
+
+    @pytest.mark.parametrize("claim", verify.CLAIMS)
+    def test_kernel_cell_that_is_no_hit_raises(self, claim, monkeypatch):
+        # x = 5 is the first cell of 17's window: D = 2 divides neither 25 nor 5
+        monkeypatch.setattr(verify, "_first_cells", lambda primes, lcm_shaped: [5])
+        with pytest.raises(AssertionError, match="x = 5 for p = 17 fails in exact integers"):
+            sweep(claim, PrimeRange(17, 17))
 
     @pytest.mark.parametrize("claim", ["conj2", "conj3-pattern"])
     @pytest.mark.parametrize(
