@@ -231,14 +231,29 @@ def _ia_cell(p: int) -> tuple[int, int, int] | None:
 # lies within it.
 _CELL_LIMIT = 10_000_000
 
-# Sweeps check their primes in blocks of this many: one _first_cells call
-# per block, and one pmap item.
+# Sweeps check their primes in blocks: one _first_cells call per block, and
+# one pmap item.  Each call pays its rounds' numpy overhead, so small blocks
+# cost more: in-process over the primes below 10^6 and in [9*10^6, 10^7]
+# (2-vCPU box, Python 3.11, best of five), blocks of 512 to 4096 primes
+# took the same time within the noise, 256 1.3-1.7 times and 128 about
+# twice as long.  At one worker a sweep takes blocks of _PRIME_BLOCK; at
+# more it splits into about 16 blocks per worker, so that pmap has items to
+# fork and its sample of every (8 * workers)-th item times two of them, but
+# none smaller than _MIN_BLOCK.
 _PRIME_BLOCK = 1 << 12
+_MIN_BLOCK = 1 << 9
+
+
+def _block_size(n: int, workers: int) -> int:
+    """Primes per block for a sweep of n primes at `workers` workers."""
+    if workers <= 1:
+        return _PRIME_BLOCK
+    return max(_MIN_BLOCK, min(_PRIME_BLOCK, -(-n // (16 * workers))))
 
 
 def _first_cells(primes: Sequence[int], lcm_shaped: bool) -> list[int]:
-    """For each prime p <= _CELL_LIMIT, the first x in p/4 < x <= p/2 whose
-    cell hits, or 0.  With q = 4x - p, m = px mod q and D = q - m, x hits
+    """For each prime p (all <= _CELL_LIMIT), the first x in p/4 < x <= p/2
+    whose cell hits, or 0.  With q = 4x - p, m = px mod q and D = q - m, x hits
     - for the type I(a) cell (_ia_at, odd p) when D | x^2;
     - when lcm_shaped, for the lcm partner (_lcm_partner) when m != 0,
       D | x and D | floor(px/q) + 1.
@@ -255,8 +270,6 @@ def _first_cells(primes: Sequence[int], lcm_shaped: bool) -> list[int]:
 
     if not primes:
         return []
-    if max(primes) > _CELL_LIMIT:
-        raise ValueError(f"p = {max(primes)} exceeds the cell kernel's bound {_CELL_LIMIT}")
     p_all = np.array(primes, dtype=np.int64)
     nxt = p_all // 4 + 1  # each prime's next untested x
     end = p_all // 2
@@ -288,7 +301,11 @@ def _first_cells(primes: Sequence[int], lcm_shaped: bool) -> list[int]:
 def _hits(primes: Sequence[int], lcm_shaped: bool) -> list[tuple[int, int, int] | None]:
     """[_scan_window(p, *conj5_window(p)) if lcm_shaped else _ia_cell(p)]
     for the primes, from _first_cells' hits, each rebuilt and checked in
-    exact integers.  2, the one even prime, takes _ia_cell's special case."""
+    exact integers.  2, the one even prime, takes _ia_cell's special case.
+    A block holding a prime past _CELL_LIMIT, which only a caller's ledger
+    or _check_claim brings, runs the scalar scans on every prime."""
+    if any(p > _CELL_LIMIT for p in primes):
+        return [_scan_window(p, *conj5_window(p)) if lcm_shaped else _ia_cell(p) for p in primes]
     found: list[tuple[int, int, int] | None] = []
     for p, x in zip(primes, _first_cells(primes, lcm_shaped)):
         if not x:
@@ -419,7 +436,7 @@ def sweep(
     store_witnesses: bool = False,
 ) -> ExceptionLedger:
     """Run the claim's verifier over every prime in r, in blocks of
-    _PRIME_BLOCK primes.
+    _block_size primes.
 
     Partitioning across workers never changes the result; the ledger merge is
     a plain ordered concatenation.  A sweep too cheap to pay for a pool runs
@@ -429,7 +446,8 @@ def sweep(
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
     r.require_within(CLAIM_CEILINGS[claim], claim)
     primes = primes_in(r)
-    blocks = [primes[i : i + _PRIME_BLOCK] for i in range(0, len(primes), _PRIME_BLOCK)]
+    size = _block_size(len(primes), workers)
+    blocks = [primes[i : i + size] for i in range(0, len(primes), size)]
     checked = pmap(partial(_check_block, claim, store_witnesses), blocks, workers)
     results = [row for block in checked for row in block]
     exceptions = tuple(p for (p, ok, _w) in results if not ok)

@@ -121,7 +121,8 @@ class TestSampledPmap:
     def test_sweeps_are_probed(self, fake_clock, monkeypatch):
         # the fake clock stands still, so the sample projects no cost
         monkeypatch.setattr(parallel, "get_context", _no_pool)
-        monkeypatch.setattr(verify, "_PRIME_BLOCK", 100)  # 13 blocks, not one
+        monkeypatch.setattr(verify, "_PRIME_BLOCK", 100)  # 13 blocks at one worker
+        monkeypatch.setattr(verify, "_MIN_BLOCK", 1)  # 32 at two
         r = PrimeRange(2, 10_000)
         assert sweep("conj1", r, workers=2).exceptions == (193,)
 
@@ -135,7 +136,8 @@ class TestSampledPmap:
          ("conj3-pattern", True), ("conj5-pattern", True)],
     )
     def test_forked_ledgers_equal_in_process_ones(self, claim, store, monkeypatch):
-        monkeypatch.setattr(verify, "_PRIME_BLOCK", 100)  # 13 blocks, not one
+        monkeypatch.setattr(verify, "_PRIME_BLOCK", 100)  # 13 blocks at one worker
+        monkeypatch.setattr(verify, "_MIN_BLOCK", 1)  # 32 at two
         r = PrimeRange(2, 10_000)
         expected = sweep(claim, r, workers=1, store_witnesses=store)
         monkeypatch.setattr(parallel, "_POOL_START_S", -1.0)

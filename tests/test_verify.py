@@ -265,10 +265,19 @@ class TestCellKernel:
         assert [p for p, hit in zip(primes, ia) if hit is None] == [193]
         assert [p for p, hit in zip(primes, found) if hit is None] == [2, 3, 7, 47, 193, 2521]
 
-    def test_kernel_refuses_primes_past_its_int64_bound(self):
+    @pytest.mark.parametrize("claim", verify.CLAIMS)
+    def test_primes_past_the_int64_bound_take_the_scalar_scans(self, claim, monkeypatch):
         assert max(verify.CLAIM_CEILINGS.values()) <= verify._CELL_LIMIT
-        with pytest.raises(ValueError, match="exceeds the cell kernel's bound 10000000"):
-            verify._first_cells([10_000_019], lcm_shaped=True)
+        monkeypatch.setattr(verify, "_first_cells", None)  # never called past the bound
+        primes = (17, 10_000_019, 10_000_079)
+        lcm_shaped = claim not in ("conj1", "conj2")
+        scalar = [verify._scan_window(p, *conj5_window(p)) if lcm_shaped else verify._ia_cell(p)
+                  for p in primes]
+        assert verify._hits(primes, lcm_shaped) == scalar
+        for p in primes[1:]:
+            assert _check_claim(claim, False, p) == (p, True, None)
+        # a ledger listing a prime past 10^7 can still be rechecked
+        assert not ExceptionLedger(claim, PrimeRange(2, 20_000_000), primes[1:]).recheck()
 
     def test_single_prime_entry_points_leave_numpy_unloaded(self):
         src = Path(straus.__file__).resolve().parent.parent
@@ -329,6 +338,14 @@ class TestSweep:
         r = PrimeRange(2, 600)
         assert sweep("conj1", r, workers=1) == sweep("conj1", r, workers=2)
         assert sweep("conj3-pattern", r, workers=2).exceptions == (2,)
+
+    def test_blocks_split_the_range_among_the_workers(self):
+        assert verify._block_size(62_090, 1) == verify._PRIME_BLOCK
+        # conj3-pattern to 120000 (11 301 primes): 23 blocks at two workers
+        assert verify._block_size(11_301, 2) == verify._MIN_BLOCK
+        # the primes in [9*10^6, 10^7]: 32 blocks at two workers
+        assert verify._block_size(62_090, 2) == 1941
+        assert verify._block_size(664_579, 2) == verify._PRIME_BLOCK
 
     def test_recheck_reverifies_exceptions(self):
         ledger = sweep("conj1", PrimeRange(2, 1000))
@@ -444,7 +461,8 @@ class TestRuleCertificate:
 
     @pytest.mark.parametrize("claim", ["conj2", "conj3-pattern"])
     def test_ledgers_equal_at_one_and_two_workers_to_10000(self, claim, monkeypatch):
-        monkeypatch.setattr(verify, "_PRIME_BLOCK", 100)  # 13 blocks, not one
+        monkeypatch.setattr(verify, "_PRIME_BLOCK", 100)  # 13 blocks at one worker
+        monkeypatch.setattr(verify, "_MIN_BLOCK", 1)  # 32 at two
         r = PrimeRange(2, 10_000)
         assert sweep(claim, r, workers=1) == sweep(claim, r, workers=2)
 
