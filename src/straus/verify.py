@@ -17,12 +17,16 @@ A prime whose scan finds no hit of the claimed shape is enumerated.
 Sweeps scan the windows of a block of primes at once, in numpy
 (_first_cells); the single-prime entry points scan one cell at a time in
 plain Python (_ia_cell, _scan_window) and never load numpy.  Every claim
-check works on plain integers: the (x, y, z) of _ia_cell and of
-enumeration._solution_rows, the (witness, partner, scans) of _scan_window and
-_pattern_y, and each kernel hit rebuilt as those (_hits).  conj1's
-divisibility is its proof; every other hit, row and witness is checked in
-exact integers.  Only a stored or printed witness becomes a WitnessReport
-with its Triple.
+check works on plain integers.  Each kernel hit is checked once in exact
+integers before it decides anything: an I(a) cell is rebuilt by _ia_at,
+whose divisibility D | x^2 is conj1's proof and, with x < y, conj2's; an
+lcm-shaped hit takes its partner, residue and scan count from the kernel's
+int64 arrays (_lcm_cells) and one partner check (_partner_divisor).  An
+unstored lcm hit then has its identity checked; a stored one is built
+straight from those values into a WitnessReport with its Triple, whose own
+checks repeat the identity.  Only a stored or printed witness becomes a
+WitnessReport.  Enumerated rows (enumeration._solution_rows) arrive
+checked.
 """
 
 from __future__ import annotations
@@ -47,12 +51,13 @@ CLAIMS = ("conj1", "conj2", "conj3-pattern", "conj5-pattern")
 
 # Desk-scale ceilings: refuse sweeps whose worst case would blow the time
 # budget instead of silently grinding.  A whole CLI sweep from 2 to its
-# ceiling on one worker (fresh process, 2-vCPU box, Python 3.11, median of
-# three): conj1 2.2 s, conj2 2.8 s, conj5-pattern 2.0 s (6.8 s with
-# witnesses).  conj3-pattern would take 2.8 s to 10^7 without witnesses, but
-# --witnesses enumerates every prime (0.11-0.15 ms each from 10^6 to 10^7,
-# and 8.5x the primes below 10^7), so its ceiling stays 10^6 (6.2 s with
-# witnesses).
+# ceiling on one worker (fresh process, shared 2-vCPU box, Python 3.11,
+# fastest of eight runs; the box's pace varied up to threefold): conj1
+# 1.2 s, conj2 1.2 s, conj5-pattern 2.2 s (5.3 s with witnesses).
+# conj3-pattern would take about 3.8 s to 10^7 without witnesses (in one
+# process), but --witnesses enumerates every prime (0.11-0.15 ms each from
+# 10^6 to 10^7, and 8.5x the primes below 10^7), so its ceiling stays 10^6
+# (4.7 s with witnesses).
 CLAIM_CEILINGS = {
     "conj1": 10_000_000,
     "conj2": 10_000_000,
@@ -298,24 +303,69 @@ def _first_cells(primes: Sequence[int], lcm_shaped: bool) -> list[int]:
     return first.tolist()
 
 
+def _lcm_cells(primes: Sequence[int]) -> list[tuple[int, int, int, int, int]]:
+    """(p, x, b, m, scans) for each prime: the first x of its conj5 window
+    with an lcm partner b = floor(px/q) + 1, q = 4x - p, its residue m = px
+    mod q and the cells scanned up to x, or x = b = m = scans = 0 where the
+    window has none.  Unchecked: _partner_divisor checks each hit.
+
+    For p <= _CELL_LIMIT all four come from _first_cells' int64 arrays, which
+    hold them exactly (px < 10^14).  A block holding a larger prime, which
+    only a caller's ledger or _check_claim brings, runs _scan_window on
+    every prime.
+    """
+    if max(primes, default=0) > _CELL_LIMIT:
+        cells = []
+        for p in primes:
+            x, b, scans = _scan_window(p, *conj5_window(p)) or (0, 0, 0)
+            cells.append((p, x, b, p * x % (4 * x - p) if x else 0, scans))
+        return cells
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
+    p = np.array(primes, dtype=np.int64)
+    x = np.array(_first_cells(primes, lcm_shaped=True), dtype=np.int64)
+    q = 4 * x - p
+    q[x == 0] = 1  # a miss: its b, m and scans are zeroed below
+    px = p * x
+    hit = x != 0
+    b = (px // q + 1) * hit
+    scans = (x - (p + 3) // 4 + 1) * hit
+    return list(zip(primes, x.tolist(), b.tolist(), (px % q).tolist(), scans.tolist()))
+
+
+def _partner_divisor(p: int, x: int, b: int, m: int) -> int:
+    """D = q - m, after checking in exact integers that b = floor(px/q) + 1
+    is an lcm partner of x with m = px mod q != 0, as _lcm_partner requires.
+
+    qb - px = D with 0 < D < q pins b and m; D dividing x and b makes D the
+    gcd g of x and b, and qb - px = g is the identity for z = p*lcm(x, b)
+    (see _lcm_partner), so lcm(x, b) = (x / D)*b.
+    """
+    q = 4 * x - p
+    d = q - m
+    if not 0 < d < q or q * b - p * x != d or x % d or b % d:
+        raise AssertionError(f"kernel cell x = {x} for p = {p} fails in exact integers")
+    return d
+
+
 def _hits(primes: Sequence[int], lcm_shaped: bool) -> list[tuple[int, int, int] | None]:
     """[_scan_window(p, *conj5_window(p)) if lcm_shaped else _ia_cell(p)]
-    for the primes, from _first_cells' hits, each rebuilt and checked in
-    exact integers.  2, the one even prime, takes _ia_cell's special case.
+    for the primes, from _first_cells' hits, each checked in exact integers:
+    an I(a) hit is rebuilt by _ia_at, an lcm-shaped one checked by
+    _partner_divisor.  2, the one even prime, takes _ia_cell's special case.
     A block holding a prime past _CELL_LIMIT, which only a caller's ledger
     or _check_claim brings, runs the scalar scans on every prime."""
-    if any(p > _CELL_LIMIT for p in primes):
-        return [_scan_window(p, *conj5_window(p)) if lcm_shaped else _ia_cell(p) for p in primes]
+    if lcm_shaped:
+        return [(x, b, scans) if x and _partner_divisor(p, x, b, m) else None
+                for p, x, b, m, scans in _lcm_cells(primes)]
+    if max(primes, default=0) > _CELL_LIMIT:
+        return [_ia_cell(p) for p in primes]
     found: list[tuple[int, int, int] | None] = []
     for p, x in zip(primes, _first_cells(primes, lcm_shaped)):
         if not x:
-            found.append(_ia_cell(p) if p == 2 and not lcm_shaped else None)
+            found.append(_ia_cell(p) if p == 2 else None)
             continue
-        if lcm_shaped:
-            b = _lcm_partner(p, x)
-            hit = None if b is None else (x, b, x - conj5_window(p)[0] + 1)
-        else:
-            hit = _ia_at(p, x)
+        hit = _ia_at(p, x)
         if hit is None:
             raise AssertionError(f"kernel cell x = {x} for p = {p} fails in exact integers")
         found.append(hit)
@@ -330,13 +380,20 @@ def verify_type_Ia_exists(p: int) -> bool:
 
 
 def _ib_exists(p: int, hit: tuple[int, int, int] | None) -> bool:
-    """verify_type_Ib_exists for a prime p whose _ia_cell is `hit`.  An I(a)
-    solution is also I(b): the checked hit decides most primes, and the rest
-    are enumerated."""
-    if hit is not None:
-        require_solution(p, *hit)
-        if offset_x(p, hit[0], hit[1]) == 1:
-            return True
+    """verify_type_Ib_exists for a prime p whose checked type I(a) cell is
+    `hit` (_ia_cell, or a kernel hit rebuilt by _ia_at).
+
+    An I(a) cell (x, y, z) with x < y is also I(b), so the hit decides p.
+    Proof: 4xy - p(x + y) = D is symmetric in x and y.  The cell has
+    qy - px = D with q = 4x - p and 0 < D <= q, so with q' = 4y - p also
+    q'x - py = D, that is py = q'(x - 1) + (q' - D).  x < y gives
+    q < q', so 0 <= q' - D < q' and floor(py/q') = x - 1: offset_x = 1.
+    Every cell with p/4 < x <= p/2 has y > px/q >= x, so x < y turns away
+    only a cell from outside that window; p = 2's (1, 2, 2) has it too.  A
+    prime without such a hit is enumerated.
+    """
+    if hit is not None and hit[0] < hit[1]:
+        return True
     return any(offset_x(p, x, y) == 1 for x, y, _z in _solution_rows(p))
 
 
@@ -360,53 +417,61 @@ def _pattern_y(p: int) -> tuple[int, int, int] | None:
     return None
 
 
-def _decide(claim: str, store: bool, p: int, found: tuple[int, int, int] | None
-            ) -> tuple[int, bool, WitnessReport | None]:
-    """(p, does the claim hold at p, stored witness), given the prime's scan
-    result `found` (see _check_block).
+def _lcm_holds(p: int, hit: tuple[int, int, int] | None, conj3: bool) -> bool:
+    """Does conj5-pattern (conj3-pattern if conj3) hold at p, given the
+    prime's checked conj5 witness `hit` = (x, y, scans)?
 
-    Without stored witnesses, conj3-pattern takes the conj5 witness when its
-    x is the lcm partner of its y, and enumerates only when there is none.
-    Only a stored witness is built as a WitnessReport, whose Triple checks
-    it; an unstored hit is checked here.
+    The hit's identity is checked here.  conj3-pattern takes it when its x
+    is the lcm partner of its y, and enumerates only when there is none.
     """
-    if claim == "conj1":
-        return p, found is not None, None
-    if claim == "conj2":
-        return p, _ib_exists(p, found), None
-    conj3 = claim == "conj3-pattern"
-    if store:
-        report = _report(p, "conj3-y" if conj3 else "conj5-x", found)
-        return p, report is not None, report
-    if found is not None:
-        x, y, _scans = found
+    if hit is not None:
+        x, y, _scans = hit
         require_solution(p, x, y, p * lcm(x, y))
         if not conj3 or _lcm_partner(p, y) == x:
-            return p, True, None
-    return p, conj3 and _pattern_y(p) is not None, None
+            return True
+    return conj3 and _pattern_y(p) is not None
 
 
 def _check_block(claim: str, store: bool, primes: Sequence[int]
-                 ) -> list[tuple[int, bool, WitnessReport | None]]:
-    """[(p, does the claim hold at p, stored witness)] for each prime; top
-    level so sweeps can fork.
+                 ) -> tuple[list[int], list[WitnessReport]]:
+    """(the primes at which the claim fails, the stored witnesses), both in
+    the order of `primes`; top level so sweeps can fork.
 
     The primes are prime: sweeps take them from primes_in, so no check here
     tests them again.  conj1 and conj2 decide from the type I(a) cells, the
-    other claims from the conj5 witnesses (_hits), except that a stored
-    conj3 witness is the first solution in (x, y) order (_pattern_y), so
-    that path always enumerates.
+    other claims from the conj5 witnesses (_hits).  A stored conj5 witness
+    is built straight from _lcm_cells' values, after one exact check
+    (_partner_divisor); its Triple and WitnessReport check it again.  A
+    stored conj3 witness is the first solution in (x, y) order (_pattern_y),
+    so that path always enumerates.
     """
-    if claim == "conj3-pattern" and store:
-        found = [_pattern_y(p) for p in primes]
-    else:
-        found = _hits(primes, lcm_shaped=claim not in ("conj1", "conj2"))
-    return [_decide(claim, store, p, f) for p, f in zip(primes, found)]
+    if claim == "conj1":
+        return [p for p, hit in zip(primes, _hits(primes, False)) if hit is None], []
+    if claim == "conj2":
+        return [p for p, hit in zip(primes, _hits(primes, False)) if not _ib_exists(p, hit)], []
+    conj3 = claim == "conj3-pattern"
+    if not store:
+        return [p for p, hit in zip(primes, _hits(primes, True))
+                if not _lcm_holds(p, hit, conj3)], []
+    if conj3:
+        reports = [_report(p, "conj3-y", _pattern_y(p)) for p in primes]
+        return ([p for p, report in zip(primes, reports) if report is None],
+                [report for report in reports if report is not None])
+    exceptions, witnesses = [], []
+    for p, x, b, m, scans in _lcm_cells(primes):
+        if not x:
+            exceptions.append(p)
+            continue
+        d = _partner_divisor(p, x, b, m)
+        witnesses.append(WitnessReport(p, "conj5-x", x, m, Triple(p, x, b, p * (x // d) * b), scans))
+    return exceptions, witnesses
 
 
 def _check_claim(claim: str, store: bool, p: int) -> tuple[int, bool, WitnessReport | None]:
-    """_check_block for the one prime p."""
-    return _check_block(claim, store, (p,))[0]
+    """(p, does the claim hold at p, stored witness): _check_block for the
+    one prime p."""
+    exceptions, witnesses = _check_block(claim, store, (p,))
+    return p, not exceptions, witnesses[0] if witnesses else None
 
 
 @dataclass(frozen=True)
@@ -426,7 +491,7 @@ class ExceptionLedger:
         """Re-verify on demand that every listed exception still fails."""
         for p in self.exceptions:
             require_prime(p)  # caller data, not a sweep's sieved primes
-        return not any(ok for _p, ok, _w in _check_block(self.claim, False, self.exceptions))
+        return len(_check_block(self.claim, False, self.exceptions)[0]) == len(self.exceptions)
 
 
 def sweep(
@@ -449,26 +514,18 @@ def sweep(
     size = _block_size(len(primes), workers)
     blocks = [primes[i : i + size] for i in range(0, len(primes), size)]
     checked = pmap(partial(_check_block, claim, store_witnesses), blocks, workers)
-    results = [row for block in checked for row in block]
-    exceptions = tuple(p for (p, ok, _w) in results if not ok)
-    witnesses = tuple(w for (_p, _ok, w) in results if w is not None)
+    exceptions = tuple(p for block, _witnesses in checked for p in block)
+    witnesses = tuple(w for _exceptions, block in checked for w in block)
     return ExceptionLedger(claim, r, exceptions, witnesses)
 
 
 def write_ledger_csv(ledger: ExceptionLedger, dest: str | Path | IO[str]) -> None:
-    """CSV rows `claim,p,status,witness,m` plus a trailing summary line."""
-    lines = ["claim,p,status,witness,m"]
-    by_p = {w.p: w for w in ledger.witnesses}
-    rows = sorted(set(ledger.exceptions) | set(by_p))
-    for p in rows:
-        if p in by_p and p not in ledger.exceptions:
-            w = by_p[p]
-            lines.append(f"{ledger.claim},{p},ok,{w.witness},{w.m}")
-        else:
-            lines.append(f"{ledger.claim},{p},exception,,")
-    lines.append(
-        f"# claim={ledger.claim} range=[{ledger.prime_range.lo},{ledger.prime_range.hi}] "
-        f"exceptions={len(ledger.exceptions)} witnesses={len(ledger.witnesses)}"
-    )
-    text = "\n".join(lines) + "\n"
-    write_to(dest, text)
+    """CSV rows `claim,p,status,witness,m`, ascending in p, plus a trailing
+    summary line.  A prime listed as an exception is one, whatever witness
+    is stored for it."""
+    claim = ledger.claim
+    rows = {w.p: f"{claim},{w.p},ok,{w.witness},{w.m}" for w in ledger.witnesses}
+    rows.update((p, f"{claim},{p},exception,,") for p in ledger.exceptions)
+    footer = (f"# claim={claim} range=[{ledger.prime_range.lo},{ledger.prime_range.hi}] "
+              f"exceptions={len(ledger.exceptions)} witnesses={len(ledger.witnesses)}")
+    write_to(dest, "\n".join(["claim,p,status,witness,m", *map(rows.get, sorted(rows)), footer]) + "\n")

@@ -279,6 +279,15 @@ class TestCellKernel:
         # a ledger listing a prime past 10^7 can still be rechecked
         assert not ExceptionLedger(claim, PrimeRange(2, 20_000_000), primes[1:]).recheck()
 
+    def test_stored_reports_equal_the_single_prime_scan_to_200000(self):
+        # the stored path builds its reports from the kernel's arrays, the
+        # single-prime one from the scalar scan
+        r = PrimeRange(2, 200_000)
+        ledger = sweep("conj5-pattern", r, store_witnesses=True)
+        expected = [find_conj5_witness(p) for p in primes_in(r)]
+        assert ledger.witnesses == tuple(w for w in expected if w is not None)
+        assert ledger.exceptions == (2, 3, 7, 47, 193, 2521)
+
     def test_single_prime_entry_points_leave_numpy_unloaded(self):
         src = Path(straus.__file__).resolve().parent.parent
         code = ("import sys\n"
@@ -436,6 +445,23 @@ class TestLedgerCsv:
         assert any(line.startswith("conj3-pattern,17,ok,30,") for line in lines)
         assert lines[-1].startswith("# claim=conj3-pattern range=[2,20]")
 
+    def test_rows_ascend_and_an_exception_outranks_its_witness(self):
+        w = {p: find_conj5_witness(p) for p in (13, 17, 19, 23)}
+        ledger = ExceptionLedger("conj5-pattern", PrimeRange(2, 30), exceptions=(3, 19, 2),
+                                 witnesses=(w[23], w[13], w[19], w[17]))
+        buf = io.StringIO()
+        write_ledger_csv(ledger, buf)
+        assert buf.getvalue() == (
+            "claim,p,status,witness,m\n"
+            "conj5-pattern,2,exception,,\n"
+            "conj5-pattern,3,exception,,\n"
+            "conj5-pattern,13,ok,4,1\n"
+            "conj5-pattern,17,ok,6,4\n"
+            "conj5-pattern,19,exception,,\n"
+            "conj5-pattern,23,ok,9,12\n"
+            "# claim=conj5-pattern range=[2,30] exceptions=3 witnesses=4\n"
+        )
+
     def test_writes_to_path(self, tmp_path):
         dest = tmp_path / "ledger.csv"
         write_ledger_csv(sweep("conj1", PrimeRange(2, 200)), dest)
@@ -514,6 +540,19 @@ class TestRuleCertificate:
         monkeypatch.setattr(verify, "_first_cells", lambda primes, lcm_shaped: [5])
         with pytest.raises(AssertionError, match="x = 5 for p = 17 fails in exact integers"):
             sweep(claim, PrimeRange(17, 17))
+
+    @pytest.mark.parametrize("claim, store", [("conj3-pattern", False), ("conj5-pattern", False),
+                                              ("conj5-pattern", True)])
+    @pytest.mark.parametrize("p, x", [(19, 5), (17, 17)], ids=["m-zero", "D-divides-x-not-b"])
+    def test_kernel_cell_without_an_lcm_partner_raises(self, claim, store, p, x, monkeypatch):
+        # 19, 5: q = 1 divides px = 95, so m = 0, although D = 1 divides x and
+        # its b = 96.  17, 17: q = 51, m = 34 and D = 17 divides x but not
+        # b = 6 (only past the window: inside it gcd(D, q) = 1, so D | x
+        # forces D | b).  A stored conj3 witness is enumerated, never read
+        # from the kernel.
+        monkeypatch.setattr(verify, "_first_cells", lambda primes, lcm_shaped: [x])
+        with pytest.raises(AssertionError, match=f"x = {x} for p = {p} fails in exact integers"):
+            sweep(claim, PrimeRange(p, p), store_witnesses=store)
 
     @pytest.mark.parametrize("claim", ["conj2", "conj3-pattern"])
     @pytest.mark.parametrize(
