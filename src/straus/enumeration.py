@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 from .core import Triple, next_boundary, require_solution
 from .sieve import PrimeRange, primes_in, require_prime
@@ -66,9 +66,8 @@ def _square_divisors(x: int) -> tuple[int, ...]:
     return tuple(divs)
 
 
-# The (s, d0) pairs that _walked_hits' d0-type walk tries for every prime:
-# s <= 16 and d0 a divisor of s**2.
-_D0_PAIRS = tuple((s, d0) for s in range(1, 17) for d0 in _square_divisors(s))
+# The s <= 16 of _walked_hits' d0-type walk, each with the divisors d0 of s**2.
+_D0_WALKS = tuple((s, _square_divisors(s)) for s in range(1, 17))
 
 
 @dataclass(frozen=True)
@@ -138,18 +137,26 @@ def iter_solutions_fast(p: int) -> Iterator[Triple]:
         yield Triple(p, x, y, z)
 
 
+def _edges(p: int) -> tuple[int, int]:
+    """(listed_to, band_to) for p: the last x with x > 64(4x - p), the last
+    listed column, and the last x with x > 8(4x - p), the end of the band."""
+    if p == 2:
+        return 1, 1
+    return (64 * p - 1) // 255, (8 * p - 1) // 31
+
+
 def _solution_rows(p: int) -> Iterator[tuple[int, int, int]]:
     """The solutions for the prime p as (x, y, z) ints in (x, y) order.
 
-    Each row is checked with require_solution; x <= y <= z and the window
-    p/4 < x <= 3p/4 hold by construction.
+    Each row is checked with require_solution (_row); x <= y <= z and the
+    window p/4 < x <= 3p/4 hold by construction.
 
     Per x-column 1/y + 1/z = r/N with r = 4x - p and N = px, so solutions
     correspond to divisor pairs d*e = N**2 with d <= N and r | (N + d),
     via y = (N+d)/r, z = (N+e)/r.  Divisors of N**2 = p**2 * x**2 that are
     <= N are exactly the divisors of x**2 (all below N since x < p) plus
     p*d0 for divisors d0 of x**2 with d0 <= x.  The first columns, x > 64r,
-    list the divisors of x**2.
+    list the divisors of x**2 (_listed_hits).
 
     In the other columns r is coprime to N and p = 4x (mod r), so each
     candidate type is one residue class mod r inside [1, x], holding at most
@@ -159,56 +166,119 @@ def _solution_rows(p: int) -> Iterator[tuple[int, int, int]]:
     so y < x) and, in the band 8r < x <= 64r, the other two types as well;
     above the band, where x <= 8r, divisor walks over small numbers find
     those two (_walked_hits).
+
+    The rows come lazily: a caller that stops at its first row pays only
+    for the columns up to it.  _block_hits finds the same rows for many
+    primes at once, unordered.
     """
     if p > FAST_LIMIT:
         raise ValueError(f"p = {p} exceeds the enumeration ceiling {FAST_LIMIT}")
-    listed_to = 1 if p == 2 else (64 * p - 1) // 255  # last x with x > 64(4x - p)
-    band_to = 1 if p == 2 else (8 * p - 1) // 31  # last x with x > 8(4x - p)
-    for x in range(p // 4 + 1, listed_to + 1):  # x <= p/2, so every d gives y >= x
-        r = 4 * x - p
-        n = p * x
-        hits = []
-        for d in _square_divisors(x):
-            if (n + d) % r == 0:
-                hits.append(d)
-            if d <= x and (n + p * d) % r == 0:
-                hits.append(p * d)
+    listed_to, band_to = _edges(p)
+    for x in range(p // 4 + 1, listed_to + 1):
+        hits = _listed_hits(p, x)
         if hits:
             yield from _column_rows(p, x, hits)
     walked = _walked_hits(p, band_to)
     for lo in range(listed_to + 1, p // 2 + 1, _COLUMN_BLOCK):
         hi = min(lo + _COLUMN_BLOCK, p // 2 + 1)
-        columns = _progression_hits(p, lo, hi, band_to)
+        hits = _progression_hits([(p, lo, hi, band_to)])
         for x in [x for x in walked if x < hi]:
-            columns.setdefault(x, []).extend(walked.pop(x))
-        for x in sorted(columns):
-            yield from _column_rows(p, x, columns[x])
+            hits += [(p, x, d) for d in walked.pop(x)]
+        for _p, x, d in sorted(hits):  # y grows with d
+            yield _row(p, x, d)
     for x in sorted(walked):
         yield from _column_rows(p, x, walked[x])
 
 
-def _progression_hits(p: int, lo: int, hi: int, band_to: int) -> dict[int, list[int]]:
-    """x -> the divisors D of (p*x)**2 that give solutions in the columns
-    lo <= x < hi (x <= 64r, r = 4x - p), from three progressions mod r:
+def _block_hits(primes: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """(p, x, D) for every solution (x, y, z) of every prime p in `primes`,
+    in no particular order: D is the divisor of (px)**2 behind the row, which
+    _row turns into y and z and checks.
+
+    The same hits as _solution_rows, found per block instead of per prime:
+    each prime's listed columns and walks run on their own, and the
+    progression columns of all the primes go to _progression_hits in calls
+    of _COLUMN_BLOCK columns, so that one call may span several primes.
+    """
+    if max(primes, default=0) > FAST_LIMIT:
+        raise ValueError(f"a prime of the block exceeds the enumeration ceiling {FAST_LIMIT}")
+    segments = []
+    for p in primes:
+        listed_to, band_to = _edges(p)
+        for x in range(p // 4 + 1, listed_to + 1):
+            for d in _listed_hits(p, x):
+                yield p, x, d
+        for x, ds in _walked_hits(p, band_to).items():
+            for d in ds:
+                yield p, x, d
+        segments.append((p, listed_to + 1, p // 2 + 1, band_to))
+    call, room = [], _COLUMN_BLOCK
+    for p, lo, hi, band_to in segments:
+        while lo < hi:
+            cut = min(hi, lo + room)
+            call.append((p, lo, cut, band_to))
+            room -= cut - lo
+            lo = cut
+            if not room:
+                yield from _progression_hits(call)
+                call, room = [], _COLUMN_BLOCK
+    if call:
+        yield from _progression_hits(call)
+
+
+def _listed_hits(p: int, x: int) -> list[int]:
+    """The divisors D of (p*x)**2 that give solutions in the listed column x
+    (p/4 < x <= 64r, so x <= p/2 and every D gives y >= x): the divisors d
+    of x**2 with r | px + d, and p*d0 for the divisors d0 <= x of x**2 with
+    r | px + p*d0."""
+    r = 4 * x - p
+    n = p * x
+    hits = []
+    for d in _square_divisors(x):
+        if (n + d) % r == 0:
+            hits.append(d)
+        if d <= x and (n + p * d) % r == 0:
+            hits.append(p * d)
+    return hits
+
+
+def _progression_hits(segments: Sequence[tuple[int, int, int, int]]) -> list[tuple[int, int, int]]:
+    """(p, x, D) for the divisors D of (p*x)**2 that give solutions in the
+    column segments (p, lo, hi, band_to), each the columns lo <= x < hi of
+    the prime p (x <= 64r, r = 4x - p), from three progressions mod r:
     - d <= x with d = -p*x, in every column; D = d;
     - e < x with 4e = -1, in the band x <= band_to; D = x**2/e;
     - d0 <= x with d0 = -x, in the band; D = p*d0.
     A candidate v is a hit when x*x % v == 0.
 
-    Each progression holds at most 64 values.  They are laid end to end as
-    one run of cells, progression k owning cells [edges[k], edges[k+1]), and
-    each numpy test covers at most _CELL_BLOCK cells.  At FAST_LIMIT the
-    largest int64 value, c*r with c < 3 * 64 * _COLUMN_BLOCK cells, stays
-    below 2**46.
+    The segments, which may belong to different primes, are joined into one
+    run of columns; p stays a scalar when there is one segment and is one
+    entry per column otherwise.  Each progression holds at most 64 values.
+    They are laid end to end as one run of cells, progression k owning
+    cells [edges[k], edges[k+1]), and each numpy test covers at most
+    _CELL_BLOCK cells.  With at most _COLUMN_BLOCK columns per call, the
+    largest int64 value at FAST_LIMIT, c*r with c < 3 * 64 * _COLUMN_BLOCK
+    cells, stays below 2**46.
     """
     import numpy as np  # here, not at module level: import straus stays numpy-free
 
-    x = np.arange(lo, hi, dtype=np.int64)
+    if len(segments) == 1:
+        ((p, lo, hi, band_to),) = segments
+        x = np.arange(lo, hi, dtype=np.int64)
+        band = slice(0, max(0, band_to + 1 - lo))  # the band is a prefix of the segment
+        bp = p
+    else:
+        ps, los, his, band_tos = np.array(segments, dtype=np.int64).T
+        size = his - los
+        x = np.arange(size.sum(), dtype=np.int64) + np.repeat(los - (np.cumsum(size) - size), size)
+        p = np.repeat(ps, size)
+        band = x <= np.repeat(band_tos, size)
+        bp = p[band]
     r = 4 * x - p
-    bx = x[: max(0, band_to + 1 - lo)]  # the band is a prefix of the block
-    br = r[: len(bx)]
-    e0 = ((-p % 4) * br - 1) // 4  # 4*e0 + 1 = m*r, m = -p % 4 = r % 4
+    bx, br = x[band], r[band]
+    e0 = ((-bp % 4) * br - 1) // 4  # 4*e0 + 1 = m*r, m = -p % 4 = r % 4
     col = np.concatenate([x, bx, bx])
+    pcol = np.concatenate([p, bp, bp]) if len(segments) > 1 else np.broadcast_to(p, col.shape)
     step = np.concatenate([r, br, br])
     # the least positive member of each class, then how many lie in [1, x] or [1, x)
     first = np.concatenate([r - p * x % r, (e0 - 1) % br + 1, br - bx % br])
@@ -217,7 +287,7 @@ def _progression_hits(p: int, lo: int, hi: int, band_to: int) -> dict[int, list[
     base = first - edges[:-1] * step  # cell c of progression k holds base[k] + c*step[k]
     square = col * col
     cells = int(edges[-1])
-    hits: dict[int, list[int]] = {}
+    hits: list[tuple[int, int, int]] = []
     for c0 in range(0, cells, _CELL_BLOCK):
         c1 = min(c0 + _CELL_BLOCK, cells)
         k0, k1 = np.searchsorted(edges, [c0, c1 - 1], side="right") - 1  # of the first, last cell
@@ -225,9 +295,9 @@ def _progression_hits(p: int, lo: int, hi: int, band_to: int) -> dict[int, list[
         v = base[k] + np.arange(c0, c1) * step[k]
         hit = np.flatnonzero(square[k] % v == 0)
         k, v = k[hit], v[hit]
-        d = np.where(k < len(x), v, np.where(k < len(x) + len(bx), square[k] // v, p * v))
-        for cx, dd in zip(col[k].tolist(), d.tolist()):
-            hits.setdefault(cx, []).append(dd)
+        pk = pcol[k]
+        d = np.where(k < len(x), v, np.where(k < len(x) + len(bx), square[k] // v, pk * v))
+        hits += zip(pk.tolist(), col[k].tolist(), d.tolist())
     return hits
 
 
@@ -241,36 +311,63 @@ def _walked_hits(p: int, band_to: int) -> dict[int, list[int]]:
     4(m - 1)x < 4u, so only the few m allowed at x = band_to + 1 occur
     (m <= 31 for every p; only m = 1 once x > p/2).  Walking the divisors
     e of u**2 gives x = (u + e)/m; y >= x still needs d >= 2x(2x - p).
+    Before the division the walk drops every e that cannot meet the
+    column's bounds: for x = (u + e)/m, x > band_to iff e > m*band_to - u,
+    x <= floor(3p/4) iff e <= m*floor(3p/4) - u, and e < x iff me < u + e,
+    that is (m - 1)e < u, which holds for every e when m = 1 and reads
+    e <= (u - 1)//(m - 1) otherwise.
 
     d0-type (x <= p/2): d0 = s*r - x with s <= 2x/r <= 16, so
     d0 = (4s - 1)x - s*p, and since r is coprime to x, d0 | x**2 iff
     d0 | s**2.  Walking the divisors d0 of s**2 gives x = (s*p + d0)/(4s - 1).
+    Again the bounds come first: x > band_to iff d0 > (4s - 1)band_to - s*p,
+    x <= floor(p/2) iff d0 <= (4s - 1)floor(p/2) - s*p, and d0 <= x iff
+    (4s - 2)d0 <= s*p.  For s > 8 the first bound grows like (s - 8)p/31
+    and leaves no divisor of s**2 above it once p > 3499.
     """
     hits: dict[int, list[int]] = {}
     lo4 = 4 * (band_to + 1)
     for m in range(-p % 4, lo4 // (lo4 - p) + 1, 4):  # (m - 1)*lo4 < m*p + 1
         u = (m * p + 1) // 4
+        e_lo = m * band_to - u
+        e_hi = m * (3 * p // 4) - u
+        if m > 1:
+            e_hi = min(e_hi, (u - 1) // (m - 1))
         for e in _square_divisors(u):
-            x, rest = divmod(u + e, m)
-            if not rest and band_to < x <= 3 * p // 4 and e < x:
-                d = x * x // e
-                if d >= 2 * x * (2 * x - p):
-                    hits.setdefault(x, []).append(d)
-    for s, d0 in _D0_PAIRS:
-        x, rest = divmod(s * p + d0, 4 * s - 1)
-        if not rest and band_to < x <= p // 2 and d0 <= x:
-            hits.setdefault(x, []).append(p * d0)
+            if e_lo < e <= e_hi:
+                x, rest = divmod(u + e, m)
+                if not rest:
+                    d = x * x // e
+                    if d >= 2 * x * (2 * x - p):
+                        hits.setdefault(x, []).append(d)
+    for s, divisors in _D0_WALKS:
+        d0_lo = (4 * s - 1) * band_to - s * p
+        d0_hi = min((4 * s - 1) * (p // 2) - s * p, s * p // (4 * s - 2))
+        for d0 in divisors:
+            if d0_lo < d0 <= d0_hi:
+                x, rest = divmod(s * p + d0, 4 * s - 1)
+                if not rest:
+                    hits.setdefault(x, []).append(p * d0)
     return hits
 
 
-def _column_rows(p: int, x: int, hits: list[int]) -> Iterator[tuple[int, int, int]]:
-    """Column x's rows for the divisors `hits` of (px)**2, sorted by y."""
+def _row(p: int, x: int, d: int) -> tuple[int, int, int]:
+    """The row (x, y, z) of column x for the divisor d of (px)**2, with
+    y = (px + d)/r and z = (px + (px)**2/d)/r, r = 4x - p, checked with
+    require_solution.  Every row of the enumerator passes through here."""
     r = 4 * x - p
     n = p * x
-    n2 = n * n
-    for y, z in sorted(((n + d) // r, (n + n2 // d) // r) for d in hits):
-        require_solution(p, x, y, z)
-        yield x, y, z
+    y = (n + d) // r
+    z = (n + n * n // d) // r
+    require_solution(p, x, y, z)
+    return x, y, z
+
+
+def _column_rows(p: int, x: int, hits: list[int]) -> Iterator[tuple[int, int, int]]:
+    """Column x's rows for the divisors `hits` of (px)**2, sorted by y,
+    which grows with the divisor."""
+    for d in sorted(hits):
+        yield _row(p, x, d)
 
 
 def enumerate_fast(p: int) -> SolutionSet:

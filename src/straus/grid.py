@@ -38,6 +38,10 @@ _RGB = {
     CellColor.PINK: (255, 130, 180),
 }
 
+# What the renderers write per cell: one dict lookup, no Enum property call.
+_CHAR = {c: c.char for c in CellColor}
+_PIXEL = {c: bytes(rgb) for c, rgb in _RGB.items()}
+
 
 def classify_cell(p: int, x: int, y: int) -> CellColor:
     """Color of lattice cell (x, y) for prime p."""
@@ -124,9 +128,7 @@ def build_grid(p: int, x_max: int, y_max: int) -> GridImage:
 
 
 def _to_ascii(g: GridImage) -> bytes:
-    lines = [
-        "".join(c.char for c in g.cells[y - 1]) for y in range(g.y_max, 0, -1)
-    ]
+    lines = ["".join([_CHAR[c] for c in g.cells[y - 1]]) for y in range(g.y_max, 0, -1)]
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -140,11 +142,7 @@ def _to_csv(g: GridImage) -> bytes:
 
 def _to_ppm(g: GridImage) -> bytes:
     header = f"P6\n{g.x_max} {g.y_max}\n255\n".encode()
-    body = bytearray()
-    for y in range(g.y_max, 0, -1):
-        for c in g.cells[y - 1]:
-            body.extend(_RGB[c])
-    return header + bytes(body)
+    return header + b"".join([_PIXEL[c] for y in range(g.y_max, 0, -1) for c in g.cells[y - 1]])
 
 
 FORMATS = {"ascii": _to_ascii, "csv": _to_csv, "ppm": _to_ppm}

@@ -1,8 +1,7 @@
 """Order-preserving map with optional process workers.
 
-stats maps its primes one by one and verify its blocks of primes; results
-merge by input order, so the output is byte-identical regardless of worker
-count.
+stats and verify map blocks of primes; results merge by input order, so the
+output is byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -32,8 +31,9 @@ def pmap(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> list[R]:
     A timed sample of every (8 * workers)-th item runs here first, and the
     rest is projected at its pace: the workers save the time of every item
     but the busiest worker's share.  The sample is strided over the whole
-    list, not its head, because a sweep's items, ascending primes for stats
-    and blocks of them for verify, cost more as p grows.  The item before
+    list, not its head, because a sweep's items, blocks of ascending primes,
+    can cost more as p grows: verify's blocks hold equal numbers of primes,
+    stats' blocks about equal sums of them.  The item before
     the sample runs before it, untimed: a first call's one-time cost,
     numpy's import, recurs neither here nor in workers forked after it.
     """

@@ -7,19 +7,27 @@ is how the published distribution for primes <= 4000 tallies (its final row
 aggregates the tail).  The overflow slot therefore only counts entries the
 bucketing cannot place at all and stays empty by construction.
 
-A range's summary is a map over its primes: each prime's bucket counts come
-from the per-prime enumerator, so a range costs the sum of its primes' costs.
+A range's summary is a map over blocks of its primes: the whole range at one
+worker, about 16 blocks of about equal work per worker at more.  A block's
+rows come from enumeration._block_hits, which runs the per-prime
+enumerator's listed columns and walks prime by prime and its progression
+columns in numpy calls that span primes.  Each row is checked
+(enumeration._row) and tallied in one flat loop, unsorted, since a bucket
+count does not depend on the order of the rows.  A range costs about the sum
+of its primes' costs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from math import log
 from pathlib import Path
-from typing import IO
+from typing import IO, Sequence
 
 from .core import offset_x
-from .enumeration import _solution_rows
+from .enumeration import _block_hits, _row
 from .parallel import pmap
 from .sieve import PrimeRange, primes_in
 from .sink import write_to
@@ -28,7 +36,7 @@ BUCKETS = (1, 2, 3, 4, 5)
 OVERFLOW = "overflow"
 
 # Desk-scale ceiling, like sweep's; it lies inside enumeration.FAST_LIMIT.
-# [999900, 10**6] takes 0.7-0.8 s on one worker (2-vCPU box).
+# [999900, 10**6] takes 0.6-0.8 s on one worker (2-vCPU box).
 STATS_CEILING = 1_000_000
 
 
@@ -38,8 +46,8 @@ def _work(lo: int, hi: int) -> float:
 
 
 # A range below the ceiling can still run for most of an hour: [2, 10**5]
-# takes 40 s and [2, 200000] 2.1 min on one worker (2-vCPU box), so
-# [2, 10**6] would take about 50 min.  Ranges costing more than [2, 200000]
+# takes 24 s and [2, 200000] 1.8 min on one worker (2-vCPU box), so
+# [2, 10**6] would take about 40 min.  Ranges costing more than [2, 200000]
 # are refused.
 _WORK_BOUND = _work(2, 200_000)
 
@@ -84,12 +92,28 @@ class DistTable:
         return self.counts[i] / self.total
 
 
-def _prime_buckets(p: int) -> tuple[int, ...]:
-    """The solution counts of p per offset bucket."""
-    buckets = [0] * len(BUCKETS)
-    for x, y, _z in _solution_rows(p):
-        buckets[min(offset_x(p, x, y), 5) - 1] += 1
-    return tuple(buckets)
+def _block_buckets(primes: Sequence[int]) -> list[tuple[int, ...]]:
+    """The solution counts of each prime of the block per offset bucket, in
+    the order of `primes`; top level so range_summary can fork it."""
+    tally = {p: [0] * len(BUCKETS) for p in primes}
+    for p, x, d in _block_hits(primes):
+        _x, y, _z = _row(p, x, d)
+        tally[p][min(offset_x(p, x, y), 5) - 1] += 1
+    return [tuple(buckets) for buckets in tally.values()]
+
+
+def _blocks(primes: list[int], workers: int) -> list[list[int]]:
+    """The range's primes as one block at one worker; at N > 1 workers as
+    about 16N blocks of about equal work, the sum of their primes, none
+    split.  Equal blocks let pmap's strided sample time its items fairly
+    and keep a worker's last chunk from holding the costliest primes."""
+    if workers <= 1 or len(primes) < 2:
+        return [primes]
+    n = 16 * workers
+    total = list(accumulate(primes))
+    ends = {min(bisect_left(total, k * total[-1] / n) + 1, len(primes)) for k in range(1, n)}
+    cuts = [0, *sorted(ends | {len(primes)})]
+    return [primes[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def range_summary(
@@ -107,7 +131,8 @@ def range_summary(
             "worker); split it into narrower ranges"
         )
     primes = primes_in(r)
-    per_prime = pmap(_prime_buckets, primes, workers)
+    per_prime = [b for block in pmap(_block_buckets, _blocks(primes, workers), workers)
+                 for b in block]
     counts = {i: sum(b[i - 1] for b in per_prime) for i in BUCKETS}
     series = [PerPrimeProportion(p, sum(b), sum(b[1:])) for p, b in zip(primes, per_prime)]
     table = DistTable(r, counts, overflow=0, total=sum(counts.values()))

@@ -260,8 +260,13 @@ def _first_cells(primes: Sequence[int], lcm_shaped: bool) -> list[int]:
     """For each prime p (all <= _CELL_LIMIT), the first x in p/4 < x <= p/2
     whose cell hits, or 0.  With q = 4x - p, m = px mod q and D = q - m, x hits
     - for the type I(a) cell (_ia_at, odd p) when D | x^2;
-    - when lcm_shaped, for the lcm partner (_lcm_partner) when m != 0,
-      D | x and D | floor(px/q) + 1.
+    - when lcm_shaped, for the lcm partner (_lcm_partner) when m != 0 and
+      D | x.  _lcm_partner also asks D | b for b = floor(px/q) + 1, but in
+      the window that follows: qb - px = q - m = D, and gcd(D, q) =
+      gcd(m, q) = gcd(px, q) = 1, because gcd(x, q) = gcd(x, p) = 1 for
+      x < p and gcd(p, q) = gcd(p, 4x) = 1 for odd p (p = 2 has m = 0).  So
+      D | x gives D | px + D = qb, hence D | b.  _partner_divisor still
+      checks b in exact integers.
 
     The windows are tested in rounds over the primes still without a hit,
     each prime's next `width` cells per round; a prime leaves the rounds at
@@ -288,10 +293,7 @@ def _first_cells(primes: Sequence[int], lcm_shaped: bool) -> list[int]:
         px = p * x
         d = q - px % q
         if lcm_shaped:
-            hit = x % d == 0
-            k = np.flatnonzero(hit)  # the few cells with D | x take the other tests
-            hit.flat[k] = (d.flat[k] < q.flat[k]) & (
-                (px.flat[k] // q.flat[k] + 1) % d.flat[k] == 0)
+            hit = (d < q) & (x % d == 0)
         else:
             hit = x * x % d == 0
         hit &= x <= end[live, None]

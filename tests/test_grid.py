@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from straus.core import classify
@@ -118,6 +120,18 @@ class TestRender:
         # top row is y = 40; pixel (x=5, y=30) sits in row index 10
         offset = 3 * (10 * 10 + 4)
         assert tuple(body[offset : offset + 3]) == (255, 130, 180)
+
+    # SHA-256 of the output, frozen from a renderer that read each cell's
+    # `.char` and extended a bytearray by its RGB tuple; 71's 60 x 300 window
+    # holds all four colors
+    @pytest.mark.parametrize("fmt, digest", [
+        ("ascii", "c6aed2b170e3be10e9cd48173298cf7f91b5c4ff2df7dc865f31fc7c590294b9"),
+        ("ppm", "00400cc92d64e3e3eb193aae0db5212c8c312ac8d6141e3aa323819096a43d24"),
+    ])
+    def test_output_bytes_are_pinned(self, fmt, digest):
+        data = render(71, 60, 300, fmt)
+        assert {c for row in build_grid(71, 60, 300).cells for c in row} == set(CellColor)
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):

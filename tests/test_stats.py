@@ -1,5 +1,6 @@
 import io
 import multiprocessing
+import multiprocessing.pool
 import os
 import subprocess
 import sys
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import straus
-from straus import parallel, stats
-from straus.core import offset_x
+from straus import core, enumeration, parallel, stats
+from straus.core import classify, offset_x
 from straus.enumeration import enumerate_fast
 from straus.sieve import PrimeRange, primes_in
 from straus.stats import (
@@ -109,6 +110,82 @@ class TestRangeKernel:
         ]
         for i in range(5):
             assert table.counts[i + 1] == sum(b[i] for _, b, _ in rows)
+
+    @pytest.mark.parametrize("lo, hi", [(2, 3000), (4001, 4099)])
+    def test_block_tally_equals_classify_with_small_kernel_calls(self, lo, hi, monkeypatch):
+        # at one worker the range is one block; kernel calls of 7 columns and
+        # numpy tests of 7 cells cut through primes, progressions and blocks
+        r = PrimeRange(lo, hi)
+        expected = []
+        for p in primes_in(r):
+            buckets = [0] * 5
+            for c in map(classify, enumerate_fast(p)):
+                buckets[min(c.offset_x, 5) - 1] += 1
+            expected.append((p, buckets, sum(buckets[1:])))
+        calls = []
+        kernel = enumeration._progression_hits
+
+        def spy(segments):
+            calls.append({p for p, _lo, _hi, _band_to in segments})
+            return kernel(segments)
+
+        monkeypatch.setattr(enumeration, "_progression_hits", spy)
+        monkeypatch.setattr(enumeration, "_COLUMN_BLOCK", 7)
+        monkeypatch.setattr(enumeration, "_CELL_BLOCK", 7)
+        table, series = range_summary(r)
+        assert any(len(primes) > 1 for primes in calls)  # some calls span primes
+        assert [(s.p, s.n_solutions, s.n_type_ii) for s in series] == [
+            (p, sum(b), n_ii) for p, b, n_ii in expected
+        ]
+        assert [table.counts[i] for i in range(1, 6)] == [
+            sum(b[i] for _p, b, _n_ii in expected) for i in range(5)
+        ]
+
+    def test_every_tallied_row_is_checked(self, monkeypatch):
+        r = PrimeRange(2, 2000)
+        identity, checked = core.check_identity, []
+        monkeypatch.setattr(core, "check_identity",
+                            lambda *row: checked.append(row) or identity(*row))
+        table = distribution(r)
+        assert len(checked) == table.total
+        monkeypatch.setattr(core, "check_identity", lambda *row: False)
+        with pytest.raises(ValueError, match="not a solution"):
+            range_summary(r)
+
+    def test_blocks_split_by_work_and_keep_primes_whole(self):
+        primes = primes_in(PrimeRange(2, 20_000))
+        assert stats._blocks(primes, 1) == [primes]
+        blocks = stats._blocks(primes, 2)
+        assert [p for block in blocks for p in block] == primes
+        assert len(blocks) == 32
+        share = sum(primes) / 32
+        assert all(abs(sum(block) - share) < primes[-1] for block in blocks)
+        top = primes_in(PrimeRange(999_900, STATS_CEILING))
+        assert stats._blocks(top, 2) == [[p] for p in top]
+
+    def test_a_few_costly_primes_still_fork(self, monkeypatch):
+        # 8 primes at the ceiling make 8 one-prime blocks at two workers.  The
+        # pool's start cost is set to 0, so that the test does not depend on
+        # the machine's pace: the blocks left after pmap's sample must still
+        # be enough to fork.
+        items, mapped = [], []
+        pmap, pool_map = stats.pmap, multiprocessing.pool.Pool.map
+
+        def spy_pmap(fn, blocks, workers):
+            items.append(len(blocks))
+            return pmap(fn, blocks, workers)
+
+        def spy_pool_map(pool, fn, iterable, chunksize=None):
+            mapped.append(len(iterable))
+            return pool_map(pool, fn, iterable, chunksize)
+
+        r = PrimeRange(999_900, STATS_CEILING)
+        expected = range_summary(r)
+        monkeypatch.setattr(stats, "pmap", spy_pmap)
+        monkeypatch.setattr(multiprocessing.pool.Pool, "map", spy_pool_map)
+        monkeypatch.setattr(parallel, "_POOL_START_S", 0.0)
+        assert range_summary(r, workers=2) == expected
+        assert items[0] >= 2 and mapped and mapped[0] >= 2
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_refuses_ranges_past_the_ceiling_before_sieving(self, workers, monkeypatch):

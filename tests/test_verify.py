@@ -265,6 +265,19 @@ class TestCellKernel:
         assert [p for p, hit in zip(primes, ia) if hit is None] == [193]
         assert [p for p, hit in zip(primes, found) if hit is None] == [2, 3, 7, 47, 193, 2521]
 
+    def test_a_window_divisor_of_x_divides_the_partner(self):
+        # the lcm-shaped kernel tests D | x alone: inside the window gcd(D, q)
+        # = 1, and qb - px = D, so D | x gives D | b
+        cells = 0
+        for p in primes_in(PrimeRange(3, 3000)):
+            for x in range(p // 4 + 1, p // 2 + 1):
+                q = 4 * x - p
+                d = q - p * x % q
+                if d < q and x % d == 0:
+                    cells += 1
+                    assert gcd(d, q) == 1 and (p * x // q + 1) % d == 0, (p, x)
+        assert cells == 3093
+
     @pytest.mark.parametrize("claim", verify.CLAIMS)
     def test_primes_past_the_int64_bound_take_the_scalar_scans(self, claim, monkeypatch):
         assert max(verify.CLAIM_CEILINGS.values()) <= verify._CELL_LIMIT
