@@ -252,36 +252,32 @@ def _progression_hits(segments: Sequence[tuple[int, int, int, int]]) -> list[tup
     A candidate v is a hit when x*x % v == 0.
 
     The segments, which may belong to different primes, are joined into one
-    run of columns; p stays a scalar when there is one segment and is one
-    entry per column otherwise.  Each progression holds at most 64 values.
-    They are laid end to end as one run of cells, progression k owning
+    run of columns, each column known by x and r alone (p = 4x - r, and
+    p*x = 4x**2 mod r).  Each progression holds at most 64 values.  They
+    are laid end to end as one run of cells, progression k owning
     cells [edges[k], edges[k+1]), and each numpy test covers at most
-    _CELL_BLOCK cells.  With at most _COLUMN_BLOCK columns per call, the
-    largest int64 value at FAST_LIMIT, c*r with c < 3 * 64 * _COLUMN_BLOCK
-    cells, stays below 2**46.
+    _CELL_BLOCK cells.  int64 is exact: at FAST_LIMIT, 4x**2 <= p**2 stays
+    below 2**47 and, with at most _COLUMN_BLOCK columns per call, c*r with
+    c < 3 * 64 * _COLUMN_BLOCK cells below 2**46.
     """
     import numpy as np  # here, not at module level: import straus stays numpy-free
 
-    if len(segments) == 1:
-        ((p, lo, hi, band_to),) = segments
-        x = np.arange(lo, hi, dtype=np.int64)
-        band = slice(0, max(0, band_to + 1 - lo))  # the band is a prefix of the segment
-        bp = p
-    else:
-        ps, los, his, band_tos = np.array(segments, dtype=np.int64).T
-        size = his - los
-        x = np.arange(size.sum(), dtype=np.int64) + np.repeat(los - (np.cumsum(size) - size), size)
-        p = np.repeat(ps, size)
-        band = x <= np.repeat(band_tos, size)
-        bp = p[band]
-    r = 4 * x - p
-    bx, br = x[band], r[band]
-    e0 = ((-bp % 4) * br - 1) // 4  # 4*e0 + 1 = m*r, m = -p % 4 = r % 4
-    col = np.concatenate([x, bx, bx])
-    pcol = np.concatenate([p, bp, bp]) if len(segments) > 1 else np.broadcast_to(p, col.shape)
-    step = np.concatenate([r, br, br])
-    # the least positive member of each class, then how many lie in [1, x] or [1, x)
-    first = np.concatenate([r - p * x % r, (e0 - 1) % br + 1, br - bx % br])
+    # the segments, then their bands (a prefix of each) twice, as runs of columns
+    band = [(p, lo, min(hi, b + 1)) for p, lo, hi, b in segments if lo <= b]
+    ps, los, his = np.array([s[:3] for s in segments] + band + band, dtype=np.int64).T
+    size = his - los
+    ends = np.cumsum(size)
+    col = np.arange(ends[-1], dtype=np.int64)  # in place below: fewer fresh pages
+    col += np.repeat(los - ends + size, size)
+    step = 4 * col
+    step -= np.repeat(ps, size)  # r = 4x - p
+    n = int(ends[len(segments) - 1])
+    nb = (len(col) - n) // 2
+    x, r, bx, br = col[:n], step[:n], col[n : n + nb], step[n : n + nb]
+    e0 = (br % 4 * br - 1) // 4  # 4*e0 + 1 = m*r, m = -p % 4 = r % 4
+    # the least positive member of each class (p*x = 4*x**2 mod r), then how
+    # many lie in [1, x] or [1, x)
+    first = np.concatenate([r - 4 * x * x % r, (e0 - 1) % br + 1, br - bx % br])
     count = (np.concatenate([x, bx - 1, bx]) - first) // step + 1
     edges = np.concatenate([[0], np.cumsum(count)])
     base = first - edges[:-1] * step  # cell c of progression k holds base[k] + c*step[k]
@@ -295,9 +291,10 @@ def _progression_hits(segments: Sequence[tuple[int, int, int, int]]) -> list[tup
         v = base[k] + np.arange(c0, c1) * step[k]
         hit = np.flatnonzero(square[k] % v == 0)
         k, v = k[hit], v[hit]
-        pk = pcol[k]
-        d = np.where(k < len(x), v, np.where(k < len(x) + len(bx), square[k] // v, pk * v))
-        hits += zip(pk.tolist(), col[k].tolist(), d.tolist())
+        ck = col[k]
+        pk = 4 * ck - step[k]  # progression k steps by its column's r = 4x - p
+        d = np.where(k < n, v, np.where(k < n + nb, square[k] // v, pk * v))
+        hits += zip(pk.tolist(), ck.tolist(), d.tolist())
     return hits
 
 

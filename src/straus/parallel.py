@@ -18,6 +18,15 @@ R = TypeVar("R")
 # for conj1 to 10^5 and conj5-pattern to 1.7 * 10^5 (2-vCPU box, Python 3.11).
 _POOL_START_S = 0.1
 
+# At N > 1 workers a sweep splits into about BLOCKS_PER_WORKER * N blocks of
+# about equal cost, so that pmap has items to fork and its sample of every
+# (8 * workers)-th item times two of them.  Each sweep weighs a prime by
+# what it costs there: verify by count, because its window kernel takes
+# about the same per prime at any p (0.5-0.7 us per prime in blocks of 4096
+# near 10^5, 10^6 and 9 * 10^6), stats by p, because a prime's columns and
+# rows grow about in proportion to p.
+BLOCKS_PER_WORKER = 16
+
 
 def default_workers() -> int:
     """The available parallelism: --workers' default."""
@@ -31,9 +40,8 @@ def pmap(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> list[R]:
     A timed sample of every (8 * workers)-th item runs here first, and the
     rest is projected at its pace: the workers save the time of every item
     but the busiest worker's share.  The sample is strided over the whole
-    list, not its head, because a sweep's items, blocks of ascending primes,
-    can cost more as p grows: verify's blocks hold equal numbers of primes,
-    stats' blocks about equal sums of them.  The item before
+    list, not its head, so that it sees the whole range even where a
+    sweep's blocks of ascending primes differ in cost.  The item before
     the sample runs before it, untimed: a first call's one-time cost,
     numpy's import, recurs neither here nor in workers forked after it.
     """

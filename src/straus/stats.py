@@ -8,10 +8,10 @@ aggregates the tail).  The overflow slot therefore only counts entries the
 bucketing cannot place at all and stays empty by construction.
 
 A range's summary is a map over blocks of its primes: the whole range at one
-worker, about 16 blocks of about equal work per worker at more.  A block's
-rows come from enumeration._block_hits, which runs the per-prime
-enumerator's listed columns and walks prime by prime and its progression
-columns in numpy calls that span primes.  Each row is checked
+worker, about parallel.BLOCKS_PER_WORKER blocks of about equal work per
+worker at more.  A block's rows come from enumeration._block_hits, which
+runs the per-prime enumerator's listed columns and walks prime by prime and
+its progression columns in numpy calls that span primes.  Each row is checked
 (enumeration._row) and tallied in one flat loop, unsorted, since a bucket
 count does not depend on the order of the rows.  A range costs about the sum
 of its primes' costs.
@@ -28,7 +28,7 @@ from typing import IO, Sequence
 
 from .core import offset_x
 from .enumeration import _block_hits, _row
-from .parallel import pmap
+from .parallel import BLOCKS_PER_WORKER, pmap
 from .sieve import PrimeRange, primes_in
 from .sink import write_to
 
@@ -103,13 +103,14 @@ def _block_buckets(primes: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 def _blocks(primes: list[int], workers: int) -> list[list[int]]:
-    """The range's primes as one block at one worker; at N > 1 workers as
-    about 16N blocks of about equal work, the sum of their primes, none
-    split.  Equal blocks let pmap's strided sample time its items fairly
-    and keep a worker's last chunk from holding the costliest primes."""
+    """The range's primes as one block at one worker; at more as about
+    BLOCKS_PER_WORKER blocks per worker of about equal work, the sum of
+    their primes, none split.  Equal blocks let pmap's strided sample time
+    its items fairly and keep a worker's last chunk from holding the
+    costliest primes."""
     if workers <= 1 or len(primes) < 2:
         return [primes]
-    n = 16 * workers
+    n = BLOCKS_PER_WORKER * workers
     total = list(accumulate(primes))
     ends = {min(bisect_left(total, k * total[-1] / n) + 1, len(primes)) for k in range(1, n)}
     cuts = [0, *sorted(ends | {len(primes)})]

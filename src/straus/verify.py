@@ -39,7 +39,7 @@ from typing import IO, Sequence
 
 from .core import Triple, offset_x, require_solution
 from .enumeration import _CELL_BLOCK, _solution_rows
-from .parallel import pmap
+from .parallel import BLOCKS_PER_WORKER, pmap
 from .sieve import PrimeRange, primes_in, require_prime
 from .sink import write_to
 
@@ -242,9 +242,8 @@ _CELL_LIMIT = 10_000_000
 # (2-vCPU box, Python 3.11, best of five), blocks of 512 to 4096 primes
 # took the same time within the noise, 256 1.3-1.7 times and 128 about
 # twice as long.  At one worker a sweep takes blocks of _PRIME_BLOCK; at
-# more it splits into about 16 blocks per worker, so that pmap has items to
-# fork and its sample of every (8 * workers)-th item times two of them, but
-# none smaller than _MIN_BLOCK.
+# more it splits into about parallel.BLOCKS_PER_WORKER blocks per worker of
+# equal numbers of primes, but none smaller than _MIN_BLOCK.
 _PRIME_BLOCK = 1 << 12
 _MIN_BLOCK = 1 << 9
 
@@ -253,7 +252,7 @@ def _block_size(n: int, workers: int) -> int:
     """Primes per block for a sweep of n primes at `workers` workers."""
     if workers <= 1:
         return _PRIME_BLOCK
-    return max(_MIN_BLOCK, min(_PRIME_BLOCK, -(-n // (16 * workers))))
+    return max(_MIN_BLOCK, min(_PRIME_BLOCK, -(-n // (BLOCKS_PER_WORKER * workers))))
 
 
 def _first_cells(primes: Sequence[int], lcm_shaped: bool) -> list[int]:
