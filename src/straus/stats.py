@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from .core import offset_x
-from .enumeration import _block_hits, _row
+from .enumeration import FAST_LIMIT, _block_hits, _row
 from .parallel import BLOCKS_PER_WORKER, pmap
 from .sieve import PrimeRange, primes_in
 from .sink import write_to
@@ -35,20 +35,17 @@ from .sink import write_to
 BUCKETS = (1, 2, 3, 4, 5)
 OVERFLOW = "overflow"
 
-# Desk-scale ceiling, like sweep's; it lies inside enumeration.FAST_LIMIT.
-# [999900, 10**6] takes 0.6-0.8 s on one worker (2-vCPU box).
-STATS_CEILING = 1_000_000
-
 
 def _work(lo: int, hi: int) -> float:
     """About the sum of the primes in [lo, hi]: a prime costs about p."""
     return (hi * hi - lo * lo) / (2 * log(hi))
 
 
-# A range below the ceiling can still run for most of an hour: [2, 10**5]
-# takes 24 s and [2, 200000] 1.8 min on one worker (2-vCPU box), so
-# [2, 10**6] would take about 40 min.  Ranges costing more than [2, 200000]
-# are refused.
+# A range within FAST_LIMIT can still run for hours: [2, 10**5] takes 24 s
+# and [2, 200000] 1.8 min on one worker (2-vCPU box), so [2, 10**6] would
+# take about 40 min.  Ranges costing more than [2, 200000] are refused; a
+# narrow range at the top still runs: [9999900, 10**7], 9 primes, takes
+# 4-7 s on one worker.
 _WORK_BOUND = _work(2, 200_000)
 
 
@@ -121,9 +118,9 @@ def range_summary(
     r: PrimeRange, workers: int = 1
 ) -> tuple[DistTable, list[PerPrimeProportion]]:
     """Distribution table and per-prime series from a single sweep; a range
-    ending above STATS_CEILING, or costing more than [2, 200000], is refused
-    before sieving."""
-    r.require_within(STATS_CEILING, "stats")
+    ending above enumeration.FAST_LIMIT, or costing more than [2, 200000],
+    is refused before sieving."""
+    r.require_within(FAST_LIMIT, "stats")
     work = _work(r.lo, r.hi)
     if work > _WORK_BOUND:
         raise ValueError(

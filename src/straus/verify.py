@@ -9,24 +9,27 @@ Four claims are sweepable:
   conj5-pattern the same shape found through the x-side witness scan
 
 A sweep returns an exception ledger: the primes in range for which the claim
-fails, plus (optionally) the first witness per passing prime.  conj1 tests one
-cell per x-column (_ia_cell).  Its first hit is type I(a), so also I(b), and
-certifies conj2; the conj5 witness is lcm-shaped and certifies conj3-pattern.
-A prime whose scan finds no hit of the claimed shape is enumerated.
+fails, plus (optionally) the first witness per passing prime.
 
-Sweeps scan the windows of a block of primes at once, in numpy
-(_first_cells); the single-prime entry points scan one cell at a time in
-plain Python (_ia_cell, _scan_window) and never load numpy.  Every claim
-check works on plain integers.  Each kernel hit is checked once in exact
-integers before it decides anything: an I(a) cell is rebuilt by _ia_at,
-whose divisibility D | x^2 is conj1's proof and, with x < y, conj2's; an
-lcm-shaped hit takes its partner, residue and scan count from the kernel's
-int64 arrays (_lcm_cells) and one partner check (_partner_divisor).  An
-unstored lcm hit then has its identity checked; a stored one is built
-straight from those values into a WitnessReport with its Triple, whose own
-checks repeat the identity.  Only a stored or printed witness becomes a
-WitnessReport.  Enumerated rows (enumeration._solution_rows) arrive
-checked.
+Every claim is decided at one lattice cell per x-column.  For q = 4x - p > 0,
+m = px mod q and D = q - m, the cell y = floor(px/q) + 1 has
+4xy - p(x + y) = D, and one exact check (_cell) decides whether it is a
+solution: of type I(a) when D | x^2, of lcm shape when m != 0, D | x and
+D | y.  conj1 asks for an I(a) hit in the window p/4 < x <= p/2; that hit is
+also I(b), so it certifies conj2.  The conj5 witness is the first lcm-shaped
+hit in the same window; it certifies conj3-pattern when its x is also the
+lcm partner of its y.
+
+Sweeps find the first hit of a block of primes at once, in numpy
+(_first_cells), and _hits confirms each one with _cell before it decides
+anything.  The single-prime entry points scan with _cell alone (_scan) and
+never load numpy.  A prime without a hit is an exception of conj1 and
+conj5-pattern; conj2 and conj3-pattern enumerate it
+(enumeration._solution_rows, whose rows arrive checked).  An unstored lcm
+hit has its identity checked (require_solution).  Only a stored or printed
+witness becomes a WitnessReport, whose Triple checks the identity again.
+A stored conj3-pattern witness is the first lcm-patterned solution in
+(x, y) order, so that path always enumerates.
 """
 
 from __future__ import annotations
@@ -115,21 +118,33 @@ class WitnessReport:
             raise ValueError("a found witness was scanned at least once")
 
 
-def _lcm_partner(p: int, a: int) -> int | None:
-    """b = ceil(pa/q), q = 4a - p > 0, if (a, b, p*lcm(a, b)) is a solution, else None.
-
-    Proof: with z = p*lcm(a, b) the identity reads qb - pa = 4ab - p(a+b) = g
-    for g = gcd(a, b).  For m = pa mod q = 0, qb - pa = 0; otherwise it is
-    q - m, a multiple of g, which divides both a and b only by being g.
+def _cell(p: int, x: int, lcm_shaped: bool) -> tuple[int, int] | None:
+    """(y, D) if column x's cell y = floor(px/q) + 1, q = 4x - p > 0, is a
+    hit, else None.  With m = px mod q and D = q - m, qy - px = D, which is
+    4xy - p(x + y).  The cell hits
+    - if lcm_shaped, when m != 0, D | x and D | y: then (x, y, p*lcm(x, y))
+      is a solution.  Proof: with that z the identity reads
+      4xy - p(x + y) = g for g = gcd(x, y); D is a multiple of g, and it
+      divides both x and y only by being g;
+    - otherwise when D | x^2, which for odd p and p/4 < x <= p/2 makes
+      (x, y, pxy/D) a solution (see _ia_cell).
     """
-    q = 4 * a - p
+    q = 4 * x - p
     if q <= 0:
         return None
-    m = p * a % q
-    if m == 0 or a % (q - m):
+    d = q - p * x % q
+    if lcm_shaped:
+        if d == q or x % d:  # m = 0, or D does not divide x
+            return None
+    elif x * x % d:
         return None
-    b = p * a // q + 1
-    return None if b % (q - m) else b
+    y = p * x // q + 1
+    return None if lcm_shaped and y % d else (y, d)
+
+
+def _lcm_partner(p: int, a: int) -> int | None:
+    """b = ceil(pa/(4a - p)) if a's cell b is lcm-shaped (_cell), else None."""
+    return hit[0] if (hit := _cell(p, a, True)) else None
 
 
 def witness_divisibility_y(p: int, y: int) -> bool:
@@ -166,27 +181,27 @@ def check_conj5_witness(p: int, x: int) -> bool:
     return witness_divisibility_x(p, x)
 
 
-def _scan_window(p: int, lo: int, hi: int) -> tuple[int, int, int] | None:
-    """(a, b, scans): the first a in [lo, hi] with an lcm partner b, found
-    after examining `scans` candidates.
+def _scan(p: int, lo: int, hi: int, lcm_shaped: bool) -> tuple[int, int, int, int] | None:
+    """(a, b, D, scans): the first a in [lo, hi] whose cell b hits (_cell),
+    found after examining `scans` candidates.
 
     p is prime, and a solution (a, b, p*lcm(a, b)) has p dividing neither a
     nor b, so the gcd clauses of both witness predicates hold by themselves.
     """
     for a in range(lo, hi + 1):
-        b = _lcm_partner(p, a)
-        if b is not None:
-            return a, b, a - lo + 1
+        hit = _cell(p, a, lcm_shaped)
+        if hit is not None:
+            return a, *hit, a - lo + 1
     return None
 
 
-def _report(p: int, kind: str, found: tuple[int, int, int] | None) -> WitnessReport | None:
-    """found = (witness, lcm partner, scans) as a WitnessReport; its Triple
-    checks the identity in exact integers."""
+def _report(p: int, kind: str, found: tuple[int, int, int, int] | None) -> WitnessReport | None:
+    """found = (witness a, lcm partner b, D = gcd(a, b), scans) as a
+    WitnessReport; its Triple checks the identity in exact integers."""
     if found is None:
         return None
-    a, b, scans = found
-    return WitnessReport(p, kind, a, p * a % (4 * a - p), Triple(p, a, b, p * lcm(a, b)), scans)
+    a, b, d, scans = found
+    return WitnessReport(p, kind, a, 4 * a - p - d, Triple(p, a, b, p * (a // d) * b), scans)
 
 
 def find_conj3_witness(p: int) -> WitnessReport | None:
@@ -194,42 +209,28 @@ def find_conj3_witness(p: int) -> WitnessReport | None:
     require_prime(p)
     if p > CONJ3_WITNESS_CEILING:
         raise ValueError(f"p = {p} exceeds the conj3 witness ceiling {CONJ3_WITNESS_CEILING}")
-    return _report(p, "conj3-y", _scan_window(p, *conj3_window(p)))
+    return _report(p, "conj3-y", _scan(p, *conj3_window(p), True))
 
 
 def find_conj5_witness(p: int) -> WitnessReport | None:
     """First x in the window passing the witness predicate, with its triple."""
     require_prime(p)
-    return _report(p, "conj5-x", _scan_window(p, *conj5_window(p)))
+    return _report(p, "conj5-x", _scan(p, *conj5_window(p), True))
 
 
-def _ia_at(p: int, x: int) -> tuple[int, int, int] | None:
-    """(x, y, z) if column x's cell y = floor(px/q) + 1, q = 4x - p, is a
-    solution by _ia_cell's criterion D | x^2, else None; p odd, x > p/4."""
-    q = 4 * x - p
-    d = q - p * x % q
-    if x * x % d:
-        return None
-    y = (p * x + d) // q
-    return x, y, p * x * y // d
+def _ia_cell(p: int) -> tuple[int, int, int, int] | None:
+    """(x, y, D, scans) of the type I(a) solution with the smallest x, or
+    None; p prime.
 
-
-def _ia_cell(p: int) -> tuple[int, int, int] | None:
-    """(x, y, z) of the type I(a) solution with the smallest x, or None; p prime.
-
-    For odd p and p/4 < x <= p/2, q = 4x - p and the cell y = floor(px/q) + 1
-    has 4xy - p(x + y) = D = q - px mod q.  As D < p, gcd(D, q) = 1 and
-    qy = px + D, D divides pxy, making the cell a solution, iff D divides
-    x^2.  Past p/2, y <= x: the one y = x solution there, x = (p + 1)/2 for
-    p = 3 (mod 4), follows the hit at x = (p + 1)/4, where q = 1.
+    For odd p and p/4 < x <= p/2 (conj5_window), q = 4x - p and the cell
+    y = floor(px/q) + 1 has 4xy - p(x + y) = D = q - px mod q.  As D < p,
+    gcd(D, q) = 1 and qy = px + D, D divides pxy, making the cell a
+    solution, iff D divides x^2.  Past p/2, y <= x: the one y = x solution
+    there, x = (p + 1)/2 for p = 3 (mod 4), follows the hit at
+    x = (p + 1)/4, where q = 1.  p = 2's solution (1, 2, 2) has D = 2 and
+    fails D | x^2.
     """
-    if p == 2:
-        return 1, 2, 2
-    for x in range(p // 4 + 1, p // 2 + 1):
-        hit = _ia_at(p, x)
-        if hit is not None:
-            return hit
-    return None
+    return (1, 2, 2, 1) if p == 2 else _scan(p, *conj5_window(p), False)
 
 
 # The largest p whose cells _first_cells tests in int64; every sweep ceiling
@@ -258,14 +259,13 @@ def _block_size(n: int, workers: int) -> int:
 def _first_cells(primes: Sequence[int], lcm_shaped: bool) -> list[int]:
     """For each prime p (all <= _CELL_LIMIT), the first x in p/4 < x <= p/2
     whose cell hits, or 0.  With q = 4x - p, m = px mod q and D = q - m, x hits
-    - for the type I(a) cell (_ia_at, odd p) when D | x^2;
-    - when lcm_shaped, for the lcm partner (_lcm_partner) when m != 0 and
-      D | x.  _lcm_partner also asks D | b for b = floor(px/q) + 1, but in
-      the window that follows: qb - px = q - m = D, and gcd(D, q) =
-      gcd(m, q) = gcd(px, q) = 1, because gcd(x, q) = gcd(x, p) = 1 for
-      x < p and gcd(p, q) = gcd(p, 4x) = 1 for odd p (p = 2 has m = 0).  So
-      D | x gives D | px + D = qb, hence D | b.  _partner_divisor still
-      checks b in exact integers.
+    - for the type I(a) cell (odd p) when D | x^2;
+    - when lcm_shaped, when m != 0 and D | x.  _cell also asks D | y for
+      y = floor(px/q) + 1, but in the window that follows: qy - px = D, and
+      gcd(D, q) = gcd(m, q) = gcd(px, q) = 1, because gcd(x, q) =
+      gcd(x, p) = 1 for x < p and gcd(p, q) = gcd(p, 4x) = 1 for odd p
+      (p = 2 has m = 0).  So D | x gives D | px + D = qy, hence D | y.
+    _hits confirms every hit with _cell.
 
     The windows are tested in rounds over the primes still without a hit,
     each prime's next `width` cells per round; a prime leaves the rounds at
@@ -304,72 +304,26 @@ def _first_cells(primes: Sequence[int], lcm_shaped: bool) -> list[int]:
     return first.tolist()
 
 
-def _lcm_cells(primes: Sequence[int]) -> list[tuple[int, int, int, int, int]]:
-    """(p, x, b, m, scans) for each prime: the first x of its conj5 window
-    with an lcm partner b = floor(px/q) + 1, q = 4x - p, its residue m = px
-    mod q and the cells scanned up to x, or x = b = m = scans = 0 where the
-    window has none.  Unchecked: _partner_divisor checks each hit.
-
-    For p <= _CELL_LIMIT all four come from _first_cells' int64 arrays, which
-    hold them exactly (px < 10^14).  A block holding a larger prime, which
-    only a caller's ledger or _check_claim brings, runs _scan_window on
-    every prime.
-    """
+def _hits(primes: Sequence[int], lcm_shaped: bool) -> list[tuple[int, int, int, int] | None]:
+    """[_scan(p, *conj5_window(p), True) if lcm_shaped else _ia_cell(p)] for
+    the primes: each prime's first hit (x, y, D, scans) in p/4 < x <= p/2,
+    or None.  Each _first_cells hit must lie in that window and pass _cell
+    in exact integers; any other cell raises.  2, the one even prime, takes
+    _ia_cell's special case.  A block holding a prime past _CELL_LIMIT,
+    which only a caller's ledger or _check_claim brings, runs the scalar
+    scans on every prime."""
     if max(primes, default=0) > _CELL_LIMIT:
-        cells = []
-        for p in primes:
-            x, b, scans = _scan_window(p, *conj5_window(p)) or (0, 0, 0)
-            cells.append((p, x, b, p * x % (4 * x - p) if x else 0, scans))
-        return cells
-    import numpy as np  # here, not at module level: import straus stays numpy-free
-
-    p = np.array(primes, dtype=np.int64)
-    x = np.array(_first_cells(primes, lcm_shaped=True), dtype=np.int64)
-    q = 4 * x - p
-    q[x == 0] = 1  # a miss: its b, m and scans are zeroed below
-    px = p * x
-    hit = x != 0
-    b = (px // q + 1) * hit
-    scans = (x - (p + 3) // 4 + 1) * hit
-    return list(zip(primes, x.tolist(), b.tolist(), (px % q).tolist(), scans.tolist()))
-
-
-def _partner_divisor(p: int, x: int, b: int, m: int) -> int:
-    """D = q - m, after checking in exact integers that b = floor(px/q) + 1
-    is an lcm partner of x with m = px mod q != 0, as _lcm_partner requires.
-
-    qb - px = D with 0 < D < q pins b and m; D dividing x and b makes D the
-    gcd g of x and b, and qb - px = g is the identity for z = p*lcm(x, b)
-    (see _lcm_partner), so lcm(x, b) = (x / D)*b.
-    """
-    q = 4 * x - p
-    d = q - m
-    if not 0 < d < q or q * b - p * x != d or x % d or b % d:
-        raise AssertionError(f"kernel cell x = {x} for p = {p} fails in exact integers")
-    return d
-
-
-def _hits(primes: Sequence[int], lcm_shaped: bool) -> list[tuple[int, int, int] | None]:
-    """[_scan_window(p, *conj5_window(p)) if lcm_shaped else _ia_cell(p)]
-    for the primes, from _first_cells' hits, each checked in exact integers:
-    an I(a) hit is rebuilt by _ia_at, an lcm-shaped one checked by
-    _partner_divisor.  2, the one even prime, takes _ia_cell's special case.
-    A block holding a prime past _CELL_LIMIT, which only a caller's ledger
-    or _check_claim brings, runs the scalar scans on every prime."""
-    if lcm_shaped:
-        return [(x, b, scans) if x and _partner_divisor(p, x, b, m) else None
-                for p, x, b, m, scans in _lcm_cells(primes)]
-    if max(primes, default=0) > _CELL_LIMIT:
-        return [_ia_cell(p) for p in primes]
-    found: list[tuple[int, int, int] | None] = []
+        return [_scan(p, *conj5_window(p), True) if lcm_shaped else _ia_cell(p) for p in primes]
+    found: list[tuple[int, int, int, int] | None] = []
     for p, x in zip(primes, _first_cells(primes, lcm_shaped)):
         if not x:
-            found.append(_ia_cell(p) if p == 2 else None)
+            found.append(_ia_cell(p) if p == 2 and not lcm_shaped else None)
             continue
-        hit = _ia_at(p, x)
+        lo = (p + 3) // 4  # conj5_window(p)
+        hit = _cell(p, x, lcm_shaped) if lo <= x <= p // 2 else None
         if hit is None:
             raise AssertionError(f"kernel cell x = {x} for p = {p} fails in exact integers")
-        found.append(hit)
+        found.append((x, hit[0], hit[1], x - lo + 1))
     return found
 
 
@@ -380,22 +334,21 @@ def verify_type_Ia_exists(p: int) -> bool:
     return _ia_cell(p) is not None
 
 
-def _ib_exists(p: int, hit: tuple[int, int, int] | None) -> bool:
-    """verify_type_Ib_exists for a prime p whose checked type I(a) cell is
-    `hit` (_ia_cell, or a kernel hit rebuilt by _ia_at).
+def _ib_exists(p: int, hit: tuple[int, int, int, int] | None) -> bool:
+    """verify_type_Ib_exists for a prime p whose first type I(a) cell is
+    `hit` (_ia_cell, or _hits).
 
     An I(a) cell (x, y, z) with x < y is also I(b), so the hit decides p.
     Proof: 4xy - p(x + y) = D is symmetric in x and y.  The cell has
     qy - px = D with q = 4x - p and 0 < D <= q, so with q' = 4y - p also
     q'x - py = D, that is py = q'(x - 1) + (q' - D).  x < y gives
     q < q', so 0 <= q' - D < q' and floor(py/q') = x - 1: offset_x = 1.
-    Every cell with p/4 < x <= p/2 has y > px/q >= x, so x < y turns away
-    only a cell from outside that window; p = 2's (1, 2, 2) has it too.  A
-    prime without such a hit is enumerated.
+    Every cell with p/4 < x <= p/2 has y > px/q >= x, and every hit lies in
+    that window (_scan scans only it, _hits refuses a kernel cell outside
+    it); p = 2's (1, 2, 2) has x < y too.  A prime without a hit is
+    enumerated.
     """
-    if hit is not None and hit[0] < hit[1]:
-        return True
-    return any(offset_x(p, x, y) == 1 for x, y, _z in _solution_rows(p))
+    return hit is not None or any(offset_x(p, x, y) == 1 for x, y, _z in _solution_rows(p))
 
 
 def verify_type_Ib_exists(p: int) -> bool:
@@ -404,29 +357,30 @@ def verify_type_Ib_exists(p: int) -> bool:
     return _ib_exists(p, _ia_cell(p))
 
 
-def _pattern_y(p: int) -> tuple[int, int, int] | None:
-    """(y, x, scans) for the first enumerated solution (x, y, z) whose x is
-    the lcm partner of y, `scans` solutions into (x, y) order.
+def _pattern_y(p: int) -> tuple[int, int, int, int] | None:
+    """(y, x, D, scans) for the first enumerated solution (x, y, z) whose x
+    is the lcm partner of y (_cell), `scans` solutions into (x, y) order.
 
     Unlike find_conj3_witness this is not window-bounded: it quantifies over
     actual solutions, which is the form the whole-range claim takes.
-    gcd(p, y) = 1 needs no test (see _scan_window).
+    gcd(p, y) = 1 needs no test (see _scan).
     """
     for scans, (x, y, _z) in enumerate(_solution_rows(p), 1):
-        if _lcm_partner(p, y) == x:
-            return y, x, scans
+        hit = _cell(p, y, True)
+        if hit is not None and hit[0] == x:
+            return y, x, hit[1], scans
     return None
 
 
-def _lcm_holds(p: int, hit: tuple[int, int, int] | None, conj3: bool) -> bool:
+def _lcm_holds(p: int, hit: tuple[int, int, int, int] | None, conj3: bool) -> bool:
     """Does conj5-pattern (conj3-pattern if conj3) hold at p, given the
-    prime's checked conj5 witness `hit` = (x, y, scans)?
+    prime's checked conj5 witness `hit` = (x, y, D, scans)?
 
     The hit's identity is checked here.  conj3-pattern takes it when its x
     is the lcm partner of its y, and enumerates only when there is none.
     """
     if hit is not None:
-        x, y, _scans = hit
+        x, y, _d, _scans = hit
         require_solution(p, x, y, p * lcm(x, y))
         if not conj3 or _lcm_partner(p, y) == x:
             return True
@@ -440,11 +394,9 @@ def _check_block(claim: str, store: bool, primes: Sequence[int]
 
     The primes are prime: sweeps take them from primes_in, so no check here
     tests them again.  conj1 and conj2 decide from the type I(a) cells, the
-    other claims from the conj5 witnesses (_hits).  A stored conj5 witness
-    is built straight from _lcm_cells' values, after one exact check
-    (_partner_divisor); its Triple and WitnessReport check it again.  A
-    stored conj3 witness is the first solution in (x, y) order (_pattern_y),
-    so that path always enumerates.
+    other claims from the conj5 witnesses (_hits).  A stored witness is the
+    conj5 hit, or for conj3-pattern the first lcm-patterned solution in
+    (x, y) order (_pattern_y); its Triple and WitnessReport check it.
     """
     if claim == "conj1":
         return [p for p, hit in zip(primes, _hits(primes, False)) if hit is None], []
@@ -454,17 +406,14 @@ def _check_block(claim: str, store: bool, primes: Sequence[int]
     if not store:
         return [p for p, hit in zip(primes, _hits(primes, True))
                 if not _lcm_holds(p, hit, conj3)], []
-    if conj3:
-        reports = [_report(p, "conj3-y", _pattern_y(p)) for p in primes]
-        return ([p for p, report in zip(primes, reports) if report is None],
-                [report for report in reports if report is not None])
+    kind = "conj3-y" if conj3 else "conj5-x"
+    found = map(_pattern_y, primes) if conj3 else _hits(primes, True)
     exceptions, witnesses = [], []
-    for p, x, b, m, scans in _lcm_cells(primes):
-        if not x:
+    for p, hit in zip(primes, found):
+        if hit is None:
             exceptions.append(p)
-            continue
-        d = _partner_divisor(p, x, b, m)
-        witnesses.append(WitnessReport(p, "conj5-x", x, m, Triple(p, x, b, p * (x // d) * b), scans))
+        else:
+            witnesses.append(_report(p, kind, hit))
     return exceptions, witnesses
 
 

@@ -171,10 +171,10 @@ class TestStats:
 
     def test_past_the_ceiling_is_usage_error(self, capsys):
         start = time.perf_counter()
-        code, _, err = run(capsys, "stats", "--to", "1000001")
+        code, _, err = run(capsys, "stats", "--to", "10000001")
         assert time.perf_counter() - start < 1.0
         assert code == 2
-        assert "stats desk-scale ceiling 1000000" in err
+        assert "stats desk-scale ceiling 10000000" in err
 
     def test_hours_of_work_is_usage_error(self, capsys):
         start = time.perf_counter()

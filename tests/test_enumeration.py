@@ -25,7 +25,7 @@ from straus.enumeration import (
     write_solutions_csv,
 )
 from straus.sieve import PrimeRange, is_prime, primes_in
-from straus.stats import STATS_CEILING, range_summary
+from straus.stats import range_summary
 
 # 10009 and 110017 are 1 (mod 24); 14159 is 3 (mod 4), so its first column
 # has r = 4x - p = 1, while the others' first columns have r = 3.
@@ -214,10 +214,9 @@ class TestProgressions:
 
     def test_factoring_bound_covers_both_enumerators(self):
         # enumerate_fast walks u = (m*p + 1)/4 with m <= 31 and lists
-        # x <= (64p - 1) // 255; stats enumerates the primes up to STATS_CEILING
+        # x <= (64p - 1) // 255; stats enumerates the primes up to FAST_LIMIT
         assert (31 * FAST_LIMIT + 1) // 4 <= enumeration._FACTOR_LIMIT
         assert (64 * FAST_LIMIT - 1) // 255 <= enumeration._FACTOR_LIMIT
-        assert STATS_CEILING <= FAST_LIMIT
         # the smallest n with two prime factors past the trial primes
         next_prime = next(q for q in range(enumeration._TRIAL_PRIMES[-1] + 1, 10**5)
                           if is_prime(q))

@@ -12,10 +12,9 @@ import pytest
 import straus
 from straus import core, enumeration, parallel, stats
 from straus.core import classify, offset_x
-from straus.enumeration import enumerate_fast
+from straus.enumeration import FAST_LIMIT, enumerate_fast
 from straus.sieve import PrimeRange, primes_in
 from straus.stats import (
-    STATS_CEILING,
     DistTable,
     PerPrimeProportion,
     distribution,
@@ -160,14 +159,14 @@ class TestRangeKernel:
         assert len(blocks) == 32
         share = sum(primes) / 32
         assert all(abs(sum(block) - share) < primes[-1] for block in blocks)
-        top = primes_in(PrimeRange(999_900, STATS_CEILING))
+        top = primes_in(PrimeRange(999_900, 10**6))
         assert stats._blocks(top, 2) == [[p] for p in top]
 
     def test_a_few_costly_primes_still_fork(self, monkeypatch):
-        # 8 primes at the ceiling make 8 one-prime blocks at two workers.  The
-        # pool's start cost is set to 0, so that the test does not depend on
-        # the machine's pace: the blocks left after pmap's sample must still
-        # be enough to fork.
+        # the 8 primes in [999900, 10^6] make 8 one-prime blocks at two
+        # workers.  The pool's start cost is set to 0, so that the test does
+        # not depend on the machine's pace: the blocks left after pmap's
+        # sample must still be enough to fork.
         items, mapped = [], []
         pmap, pool_map = stats.pmap, multiprocessing.pool.Pool.map
 
@@ -179,7 +178,7 @@ class TestRangeKernel:
             mapped.append(len(iterable))
             return pool_map(pool, fn, iterable, chunksize)
 
-        r = PrimeRange(999_900, STATS_CEILING)
+        r = PrimeRange(999_900, 10**6)
         expected = range_summary(r)
         monkeypatch.setattr(stats, "pmap", spy_pmap)
         monkeypatch.setattr(multiprocessing.pool.Pool, "map", spy_pool_map)
@@ -194,25 +193,25 @@ class TestRangeKernel:
 
         monkeypatch.setattr(stats, "primes_in", no_sieve)
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="stats desk-scale ceiling 1000000; "
-                                             r"try \[999900, 1000000\]"):
-            range_summary(PrimeRange(999_900, 1_500_000_000), workers=workers)
+        with pytest.raises(ValueError, match="stats desk-scale ceiling 10000000; "
+                                             r"try \[9999900, 10000000\]"):
+            range_summary(PrimeRange(9_999_900, 1_500_000_000), workers=workers)
         assert time.perf_counter() - start < 1.0
 
     def test_refusal_starts_right_past_the_bound(self):
-        assert STATS_CEILING == 10**6
-        assert distribution(PrimeRange(STATS_CEILING, STATS_CEILING)).total == 0
-        with pytest.raises(ValueError, match="ceiling 1000000$"):  # no subrange to suggest
-            range_summary(PrimeRange(STATS_CEILING + 1, STATS_CEILING + 1))
+        assert FAST_LIMIT == 10**7
+        assert distribution(PrimeRange(FAST_LIMIT, FAST_LIMIT)).total == 0
+        with pytest.raises(ValueError, match="ceiling 10000000$"):  # no subrange to suggest
+            range_summary(PrimeRange(FAST_LIMIT + 1, FAST_LIMIT + 1))
 
     def test_work_bound_is_the_cost_of_2_to_200000(self, monkeypatch):
         sieved = []
         monkeypatch.setattr(stats, "primes_in", lambda r: sieved.append(r) or [])
-        accepted = [PrimeRange(2, 200_000), PrimeRange(999_900, STATS_CEILING)]
+        accepted = [PrimeRange(2, 200_000), PrimeRange(9_999_900, FAST_LIMIT)]
         for r in accepted:
             assert range_summary(r)[0].total == 0
         assert sieved == accepted
-        for lo, hi in [(2, 200_001), (2, STATS_CEILING), (500_000, 560_000)]:
+        for lo, hi in [(2, 200_001), (2, 10**6), (500_000, 560_000)]:
             with pytest.raises(ValueError, match=r"x the stats work bound.*\[2, 200000\]"):
                 range_summary(PrimeRange(lo, hi))
         assert sieved == accepted

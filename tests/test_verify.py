@@ -254,16 +254,32 @@ class TestCellKernel:
     """The numpy kernel that sweeps run against the scalar scans that the
     single-prime entry points run."""
 
+    @staticmethod
+    def _kernel_equals_scalar(primes):
+        """Both shapes' _hits for the primes, after asserting that they
+        equal the scalar scans: (x, y, D, scans) per prime, or None."""
+        ia = verify._hits(primes, lcm_shaped=False)
+        assert ia == [verify._ia_cell(p) for p in primes]
+        found = verify._hits(primes, lcm_shaped=True)
+        assert found == [verify._scan(p, *conj5_window(p), True) for p in primes]
+        return ia, found
+
     @pytest.mark.parametrize("cell_block", [verify._CELL_BLOCK, 7])
     def test_kernel_equals_the_scalar_scans_to_200000(self, cell_block, monkeypatch):
         monkeypatch.setattr(verify, "_CELL_BLOCK", cell_block)
         primes = primes_in(PrimeRange(2, 200_000))
-        ia = verify._hits(primes, lcm_shaped=False)
-        assert ia == [verify._ia_cell(p) for p in primes]
-        found = verify._hits(primes, lcm_shaped=True)  # (x, partner, scans)
-        assert found == [verify._scan_window(p, *conj5_window(p)) for p in primes]
+        ia, found = self._kernel_equals_scalar(primes)
         assert [p for p, hit in zip(primes, ia) if hit is None] == [193]
         assert [p for p, hit in zip(primes, found) if hit is None] == [2, 3, 7, 47, 193, 2521]
+
+    @pytest.mark.parametrize("cell_block", [verify._CELL_BLOCK, 7])
+    def test_kernel_equals_the_scalar_scans_at_the_int64_edge(self, cell_block, monkeypatch):
+        # p*x and x*x come near 10^14 here, the top of _first_cells' int64 range
+        monkeypatch.setattr(verify, "_CELL_BLOCK", cell_block)
+        primes = primes_in(PrimeRange(9_900_000, verify._CELL_LIMIT))
+        assert len(primes) == 6134
+        ia, found = self._kernel_equals_scalar(primes)
+        assert None not in ia and None not in found
 
     def test_a_window_divisor_of_x_divides_the_partner(self):
         # the lcm-shaped kernel tests D | x alone: inside the window gcd(D, q)
@@ -284,7 +300,7 @@ class TestCellKernel:
         monkeypatch.setattr(verify, "_first_cells", None)  # never called past the bound
         primes = (17, 10_000_019, 10_000_079)
         lcm_shaped = claim not in ("conj1", "conj2")
-        scalar = [verify._scan_window(p, *conj5_window(p)) if lcm_shaped else verify._ia_cell(p)
+        scalar = [verify._scan(p, *conj5_window(p), True) if lcm_shaped else verify._ia_cell(p)
                   for p in primes]
         assert verify._hits(primes, lcm_shaped) == scalar
         for p in primes[1:]:
@@ -530,29 +546,25 @@ class TestRuleCertificate:
                 sweep(claim, PrimeRange(2, 3000), store_witnesses=store)
         assert load_rules.cache_info().currsize == 0
 
-    def test_scan_hit_of_the_wrong_shape_is_enumerated(self, monkeypatch):
-        # Both kernel cells rebuild to 4/17 = 1/5 + 1/30 + 1/510, in the wrong
-        # roles: the I(a) cell x = 510 gives (510, 5, 30), where x is not 5's
-        # boundary neighbour, and 5 has no lcm partner, so the conj5 cell 30
-        # is not the x that y = 5 implies.  Each prime falls back to
-        # enumeration.
+    def test_conj2_trusts_its_kernel_hits(self, monkeypatch):
+        # every I(a) hit lies in p/4 < x <= p/2, so it is I(b) as it stands;
+        # only 193, which has none, is enumerated
         enumerated = []
         rows = verify._solution_rows
         monkeypatch.setattr(verify, "_solution_rows", lambda p: enumerated.append(p) or rows(p))
-        monkeypatch.setattr(verify, "_first_cells",
-                            lambda primes, lcm_shaped: [30 if lcm_shaped else 510])
-        assert verify._hits([17], False) == [(510, 5, 30)]
-        assert verify._hits([17], True) == [(30, 5, 26)]
-        assert _check_claim("conj2", False, 17) == (17, True, None)
-        assert _check_claim("conj3-pattern", False, 17) == (17, True, None)
-        assert enumerated == [17, 17]
+        assert sweep("conj2", PrimeRange(2, 10**5)).exceptions == ()
+        assert enumerated == [193]
 
     @pytest.mark.parametrize("claim", verify.CLAIMS)
     def test_kernel_cell_that_is_no_hit_raises(self, claim, monkeypatch):
-        # x = 5 is the first cell of 17's window: D = 2 divides neither 25 nor 5
-        monkeypatch.setattr(verify, "_first_cells", lambda primes, lcm_shaped: [5])
-        with pytest.raises(AssertionError, match="x = 5 for p = 17 fails in exact integers"):
-            sweep(claim, PrimeRange(17, 17))
+        # x = 5 is the first cell of 17's window: D = 2 divides neither 25 nor
+        # 5.  The cells x = 510 (D | x^2) and x = 30 (lcm-shaped) are both
+        # 4/17 = 1/5 + 1/30 + 1/510, with y = 5 < x: outside the window
+        # p/4 < x <= p/2, which proves a hit's x < y.
+        for x in (5, 510, 30):
+            monkeypatch.setattr(verify, "_first_cells", lambda primes, lcm_shaped: [x])
+            with pytest.raises(AssertionError, match=f"x = {x} for p = 17 fails in exact integers"):
+                sweep(claim, PrimeRange(17, 17))
 
     @pytest.mark.parametrize("claim, store", [("conj3-pattern", False), ("conj5-pattern", False),
                                               ("conj5-pattern", True)])
@@ -563,6 +575,7 @@ class TestRuleCertificate:
         # b = 6 (only past the window: inside it gcd(D, q) = 1, so D | x
         # forces D | b).  A stored conj3 witness is enumerated, never read
         # from the kernel.
+        assert verify._cell(p, x, True) is None
         monkeypatch.setattr(verify, "_first_cells", lambda primes, lcm_shaped: [x])
         with pytest.raises(AssertionError, match=f"x = {x} for p = {p} fails in exact integers"):
             sweep(claim, PrimeRange(p, p), store_witnesses=store)
