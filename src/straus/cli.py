@@ -95,10 +95,9 @@ def _workers(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     solutions = enumerate_fast(args.p)
-    print(f"# p={args.p}: {len(solutions)} solutions")
-    for t in solutions:
-        c = classify(t)
-        print(f"{t.x} {t.y} {t.z} {c.labels()}")
+    rows = [f"# p={args.p}: {len(solutions)} solutions"]
+    rows += [f"{t.x} {t.y} {t.z} {classify(t).labels()}" for t in solutions]
+    sys.stdout.write("\n".join(rows) + "\n")  # one write, not one per row
     if args.out:
         write_solutions_csv([solutions], args.out)
     return 0

@@ -26,6 +26,11 @@ class CellColor(Enum):
     BLUE = "B"
     PINK = "P"
 
+    # Members are singletons compared by identity, so hash them by identity
+    # too: the renderers look a colour up per cell, and Enum's own __hash__
+    # runs in Python.
+    __hash__ = object.__hash__
+
     @property
     def char(self) -> str:
         return self.value

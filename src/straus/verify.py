@@ -22,14 +22,17 @@ lcm partner of its y.
 
 Sweeps find the first hit of a block of primes at once, in numpy
 (_first_cells), and _hits confirms each one with _cell before it decides
-anything.  The single-prime entry points scan with _cell alone (_scan) and
-never load numpy.  A prime without a hit is an exception of conj1 and
-conj5-pattern; conj2 and conj3-pattern enumerate it
-(enumeration._solution_rows, whose rows arrive checked).  An unstored lcm
-hit has its identity checked (require_solution).  Only a stored or printed
-witness becomes a WitnessReport, whose Triple checks the identity again.
-A stored conj3-pattern witness is the first lcm-patterned solution in
-(x, y) order, so that path always enumerates.
+anything.  The single-prime entry points run in plain Python and never load
+numpy: the conj5 witness and the I(a) cell scan their window with _cell
+(_scan), and the conj3 witness walks x-columns down from the partner of
+ceil(p/2) (_conj3_descent), confirming its hit with _cell.
+
+A prime without a hit is an exception of conj1 and conj5-pattern; conj2 and
+conj3-pattern enumerate it (enumeration._solution_rows, whose rows arrive
+checked).  An unstored lcm hit has its identity checked (require_solution).
+Only a stored or printed witness becomes a WitnessReport, whose Triple
+checks the identity again.  A stored conj3-pattern witness is the first
+lcm-patterned solution in (x, y) order, so that path always enumerates.
 """
 
 from __future__ import annotations
@@ -68,10 +71,11 @@ CLAIM_CEILINGS = {
     "conj5-pattern": 10_000_000,
 }
 
-# The conj3 witness scan has no early bound: on the ten primes below 10^7 it
-# examines up to 4.3 * 10^6 candidates (2.4 s for all ten), below 10^9 up to
-# 3.6 * 10^8 (171 s for one; 2-vCPU box, Python 3.11), so larger p are
-# refused.  conj5's stops within 3 candidates to 10^15.
+# The conj3 witness descent has no early bound: on the ten largest primes
+# below 10^7 it examines 1.3 * 10^5 to 1.6 * 10^6 columns (1.0-1.3 s for all
+# ten), below 10^8 up to 1.1 * 10^7 (9.0 s for ten; 2-vCPU box, Python
+# 3.11), so larger p are refused.  conj5's scan stops within 3 candidates
+# to 10^15.
 CONJ3_WITNESS_CEILING = 10_000_000
 
 
@@ -91,9 +95,10 @@ class WitnessReport:
     q = 4*witness - p and m = p*witness mod q; the witness property is that
     q - m divides the witness, which forces the lcm-shaped solution stored in
     `derived` (the witness is its y for "conj3-y", its x for "conj5-x").
-    early_exit_scans counts what was examined up to the hit: window values for
-    find_conj3_witness and find_conj5_witness, enumerated solutions in (x, y)
-    order for a stored conj3-pattern witness (_pattern_y).
+    early_exit_scans counts the candidates up to the hit: window values in
+    order for find_conj5_witness, and for find_conj3_witness too (the y-scan's
+    count, although it walks columns), enumerated solutions in (x, y) order
+    for a stored conj3-pattern witness (_pattern_y).
     """
 
     p: int
@@ -183,7 +188,9 @@ def check_conj5_witness(p: int, x: int) -> bool:
 
 def _scan(p: int, lo: int, hi: int, lcm_shaped: bool) -> tuple[int, int, int, int] | None:
     """(a, b, D, scans): the first a in [lo, hi] whose cell b hits (_cell),
-    found after examining `scans` candidates.
+    found after examining `scans` candidates.  It serves the conj5 witness
+    and the I(a) cell, whose windows are x-windows; the conj3 witness walks
+    columns instead (_conj3_descent).
 
     p is prime, and a solution (a, b, p*lcm(a, b)) has p dividing neither a
     nor b, so the gcd clauses of both witness predicates hold by themselves.
@@ -204,12 +211,63 @@ def _report(p: int, kind: str, found: tuple[int, int, int, int] | None) -> Witne
     return WitnessReport(p, kind, a, 4 * a - p - d, Triple(p, a, b, p * (a // d) * b), scans)
 
 
+def _conj3_descent(p: int) -> tuple[int, int, int] | None:
+    """(y, x, D) for the first y in conj3_window(p) whose cell hits,
+    _cell(p, y, True) == (x, D), found by walking x-columns down; p an odd
+    prime.
+
+    Such a hit is a solution (x, y, p*lcm(x, y)) whose D = 4xy - p(x + y)
+    divides x and y, with x the partner of y, so p/4 < x <= the partner of
+    ceil(p/2).  In column x, q = 4x - p, the cells are y = floor(px/q) + 1 + k
+    with D = D0 + kq, D0 = q - px mod q.  A cell with D <= x is the cell of
+    its own y, as D <= x < 4y - p (so m != 0 on the y side), and since
+    gcd(D, q) = gcd(px, q) = 1, D | x gives D | qy = px + D, hence D | y.
+    So the hits are the column cells with D | x:
+    - For x > p/3, q > x: only a column's first cell can have D <= x.  Its
+      y is at most p, inside the window's top, and rises as x falls, so the
+      first column whose D0 divides x holds the first witness.
+    - For x <= p/3, every cell has y > px/q >= p, a column may hold several
+      (rising with k), and the columns' first cells rise as x falls.  The
+      least y found is kept until a column's first y passes it.
+    """
+    lo, hi = conj3_window(p)
+    top = p * lo // (4 * lo - p) + 1  # the partner of lo
+    for x in range(top, p // 3, -1):
+        q = 4 * x - p
+        d = q - p * x % q
+        if x % d == 0 and (y := p * x // q + 1) >= lo:  # only top's y may lie below lo
+            return y, x, d
+    best = None
+    for x in range(min(top, p // 3), p // 4, -1):
+        q = 4 * x - p
+        y = p * x // q + 1
+        stop = hi if best is None else best[0] - 1
+        if y > stop:
+            break
+        d = q - p * x % q
+        while d <= x and y <= stop:
+            if x % d == 0:
+                best = y, x, d
+                break
+            d += q
+            y += 1
+    return best
+
+
 def find_conj3_witness(p: int) -> WitnessReport | None:
-    """First y in the window passing the witness predicate, with its triple."""
+    """First y in the window passing the witness predicate, with its triple
+    (_conj3_descent, confirmed by _cell).  p = 2 has none: its window holds
+    y = 1 alone, where m = 0."""
     require_prime(p)
     if p > CONJ3_WITNESS_CEILING:
         raise ValueError(f"p = {p} exceeds the conj3 witness ceiling {CONJ3_WITNESS_CEILING}")
-    return _report(p, "conj3-y", _scan(p, *conj3_window(p), True))
+    found = None if p == 2 else _conj3_descent(p)
+    if found is None:
+        return None
+    y, x, d = found
+    if _cell(p, y, True) != (x, d):
+        raise AssertionError(f"descent cell y = {y} for p = {p} fails in exact integers")
+    return _report(p, "conj3-y", (y, x, d, y - conj3_window(p)[0] + 1))
 
 
 def find_conj5_witness(p: int) -> WitnessReport | None:

@@ -87,6 +87,15 @@ class TestConj3Witness:
             find_conj3_witness(10_000_019)
         assert time.perf_counter() - start < 1.0
 
+    def test_descent_equals_the_y_scan_to_20000(self):
+        below = []  # the primes whose witness lies in a column x <= p/3
+        for p in primes_in(PrimeRange(2, 20_000)):
+            report = find_conj3_witness(p)
+            assert _summary(report) == conj3_y_scan(p), p
+            if report is not None and 3 * report.derived.x <= p:
+                below.append(p)
+        assert below[:5] == [73, 79, 103, 167, 193] and len(below) == 112
+
     def test_derived_triples_are_ib_for_small_primes(self):
         for p in primes_in(PrimeRange(2, 1000)):
             report = find_conj3_witness(p)
@@ -195,6 +204,20 @@ def _brute_window_scan(p, kind, lo, hi):
         z = p * lcm(x, y)
         if gcd(p, y) == 1 and check_identity(p, x, y, z):
             return a, p * a % q, (x, y, z), scans
+    return None
+
+
+def conj3_y_scan(p):
+    """find_conj3_witness as the plain y-order scan of its window:
+    (witness y, m, triple, scans) for the first y with gcd(p, y) = 1, m != 0
+    and D = q - m dividing y and its partner x = floor(py/q) + 1, or None."""
+    lo, hi = conj3_window(p)
+    for y in range(lo, hi + 1):
+        q = 4 * y - p
+        m = p * y % q
+        x = p * y // q + 1
+        if m and gcd(p, y) == 1 and y % (q - m) == 0 and x % (q - m) == 0:
+            return y, m, (x, y, p * lcm(x, y)), y - lo + 1
     return None
 
 
