@@ -4,9 +4,11 @@ enumerate_oracle sweeps one prime's whole (x, y) search region and is
 deliberately naive; enumerate_fast reformulates each x-column as a
 divisor-pair problem, lists divisors only in the first columns and finds the
 other pairs as residue classes mod 4x - p or by walking the divisors of a few
-small numbers.  It is the one enumerator: solve, the claim checks and stats
-all read its rows.  It must reproduce the oracle, which exists so it can be
-checked against it wholesale.
+small numbers.  One driver, _block_hits, walks the columns of a block of
+primes: stats tallies its hits unordered, and _solution_rows, behind
+enumerate_fast, solve and the claim checks, reads one prime's hits in (x, y)
+order.  enumerate_fast must reproduce the oracle, which exists so it can
+be checked against it wholesale.
 """
 
 from __future__ import annotations
@@ -146,10 +148,31 @@ def _edges(p: int) -> tuple[int, int]:
 
 
 def _solution_rows(p: int) -> Iterator[tuple[int, int, int]]:
-    """The solutions for the prime p as (x, y, z) ints in (x, y) order.
+    """The solutions for the prime p as (x, y, z) ints in (x, y) order: the
+    hits of _block_hits([p]), each turned into its row and checked by _row.
 
-    Each row is checked with require_solution (_row); x <= y <= z and the
-    window p/4 < x <= 3p/4 hold by construction.
+    The listed columns' hits arrive column by column in ascending D, which
+    is ascending y, and pass on as they come, so a caller that stops at a
+    row there pays only for the columns up to it.  The hits past the
+    listed columns come unordered: at the first of them the rest are
+    collected and sorted by (x, D).
+    """
+    hits = _block_hits([p])
+    listed_to = _edges(p)[0]
+    for _p, x, d in hits:
+        if x > listed_to:  # the rest, sorted; the loop below reads them
+            hits = sorted([(p, x, d), *hits])
+            break
+        yield _row(p, x, d)
+    for _p, x, d in hits:
+        yield _row(p, x, d)
+
+
+def _block_hits(primes: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """(p, x, D) for every solution (x, y, z) of every prime p in `primes`:
+    D is the divisor of (px)**2 behind the row, which _row turns into y and
+    z and checks.  x <= y <= z and the window p/4 < x <= 3p/4 hold by
+    construction.
 
     Per x-column 1/y + 1/z = r/N with r = 4x - p and N = px, so solutions
     correspond to divisor pairs d*e = N**2 with d <= N and r | (N + d),
@@ -167,50 +190,22 @@ def _solution_rows(p: int) -> Iterator[tuple[int, int, int]]:
     above the band, where x <= 8r, divisor walks over small numbers find
     those two (_walked_hits).
 
-    The rows come lazily: a caller that stops at its first row pays only
-    for the columns up to it.  _block_hits finds the same rows for many
-    primes at once, unordered.
-    """
-    if p > FAST_LIMIT:
-        raise ValueError(f"p = {p} exceeds the enumeration ceiling {FAST_LIMIT}")
-    listed_to, band_to = _edges(p)
-    for x in range(p // 4 + 1, listed_to + 1):
-        hits = _listed_hits(p, x)
-        if hits:
-            yield from _column_rows(p, x, hits)
-    walked = _walked_hits(p, band_to)
-    for lo in range(listed_to + 1, p // 2 + 1, _COLUMN_BLOCK):
-        hi = min(lo + _COLUMN_BLOCK, p // 2 + 1)
-        hits = _progression_hits([(p, lo, hi, band_to)])
-        for x in [x for x in walked if x < hi]:
-            hits += [(p, x, d) for d in walked.pop(x)]
-        for _p, x, d in sorted(hits):  # y grows with d
-            yield _row(p, x, d)
-    for x in sorted(walked):
-        yield from _column_rows(p, x, walked[x])
-
-
-def _block_hits(primes: Sequence[int]) -> Iterator[tuple[int, int, int]]:
-    """(p, x, D) for every solution (x, y, z) of every prime p in `primes`,
-    in no particular order: D is the divisor of (px)**2 behind the row, which
-    _row turns into y and z and checks.
-
-    The same hits as _solution_rows, found per block instead of per prime:
-    each prime's listed columns and walks run on their own, and the
-    progression columns of all the primes go to _progression_hits in calls
-    of _COLUMN_BLOCK columns, so that one call may span several primes.
+    Each prime's listed columns come first, in (x, D) order, then its
+    walks; the progression columns of all the primes go last to
+    _progression_hits, in calls of _COLUMN_BLOCK columns, so that one call
+    may span several primes.  Past the listed columns the hits come in no
+    particular order.
     """
     if max(primes, default=0) > FAST_LIMIT:
-        raise ValueError(f"a prime of the block exceeds the enumeration ceiling {FAST_LIMIT}")
+        raise ValueError(f"p = {max(primes)} exceeds the enumeration ceiling {FAST_LIMIT}")
     segments = []
     for p in primes:
         listed_to, band_to = _edges(p)
         for x in range(p // 4 + 1, listed_to + 1):
             for d in _listed_hits(p, x):
                 yield p, x, d
-        for x, ds in _walked_hits(p, band_to).items():
-            for d in ds:
-                yield p, x, d
+        for x, d in _walked_hits(p, band_to):
+            yield p, x, d
         segments.append((p, listed_to + 1, p // 2 + 1, band_to))
     call, room = [], _COLUMN_BLOCK
     for p, lo, hi, band_to in segments:
@@ -230,7 +225,7 @@ def _listed_hits(p: int, x: int) -> list[int]:
     """The divisors D of (p*x)**2 that give solutions in the listed column x
     (p/4 < x <= 64r, so x <= p/2 and every D gives y >= x): the divisors d
     of x**2 with r | px + d, and p*d0 for the divisors d0 <= x of x**2 with
-    r | px + p*d0."""
+    r | px + p*d0, in ascending order."""
     r = 4 * x - p
     n = p * x
     hits = []
@@ -239,7 +234,7 @@ def _listed_hits(p: int, x: int) -> list[int]:
             hits.append(d)
         if d <= x and (n + p * d) % r == 0:
             hits.append(p * d)
-    return hits
+    return sorted(hits)
 
 
 def _progression_hits(segments: Sequence[tuple[int, int, int, int]]) -> list[tuple[int, int, int]]:
@@ -305,9 +300,9 @@ def _progression_hits(segments: Sequence[tuple[int, int, int, int]]) -> list[tup
     return list(zip(pk.tolist(), ck.tolist(), d.tolist()))
 
 
-def _walked_hits(p: int, band_to: int) -> dict[int, list[int]]:
-    """x -> the divisors d > x of x**2 and the p*d0 that give solutions in
-    the columns x > band_to, where x <= 8r with r = 4x - p.
+def _walked_hits(p: int, band_to: int) -> list[tuple[int, int]]:
+    """(x, D) for the divisors D = d > x of x**2 and D = p*d0 that give
+    solutions in the columns x > band_to, where x <= 8r with r = 4x - p.
 
     e-type: d = x**2/e with e < x and 4e = -1 (mod r).  Then 4e = m*r - 1
     with m = -p (mod 4), so e = m*x - u with u = (m*p + 1)/4; e is coprime
@@ -329,7 +324,7 @@ def _walked_hits(p: int, band_to: int) -> dict[int, list[int]]:
     (4s - 2)d0 <= s*p.  For s > 8 the first bound grows like (s - 8)p/31
     and leaves no divisor of s**2 above it once p > 3499.
     """
-    hits: dict[int, list[int]] = {}
+    hits = []
     lo4 = 4 * (band_to + 1)
     for m in range(-p % 4, lo4 // (lo4 - p) + 1, 4):  # (m - 1)*lo4 < m*p + 1
         u = (m * p + 1) // 4
@@ -343,7 +338,7 @@ def _walked_hits(p: int, band_to: int) -> dict[int, list[int]]:
                 if not rest:
                     d = x * x // e
                     if d >= 2 * x * (2 * x - p):
-                        hits.setdefault(x, []).append(d)
+                        hits.append((x, d))
     for s, divisors in _D0_WALKS:
         d0_lo = (4 * s - 1) * band_to - s * p
         d0_hi = min((4 * s - 1) * (p // 2) - s * p, s * p // (4 * s - 2))
@@ -351,7 +346,7 @@ def _walked_hits(p: int, band_to: int) -> dict[int, list[int]]:
             if d0_lo < d0 <= d0_hi:
                 x, rest = divmod(s * p + d0, 4 * s - 1)
                 if not rest:
-                    hits.setdefault(x, []).append(p * d0)
+                    hits.append((x, p * d0))
     return hits
 
 
@@ -365,13 +360,6 @@ def _row(p: int, x: int, d: int) -> tuple[int, int, int]:
     z = (n + n * n // d) // r
     require_solution(p, x, y, z)
     return x, y, z
-
-
-def _column_rows(p: int, x: int, hits: list[int]) -> Iterator[tuple[int, int, int]]:
-    """Column x's rows for the divisors `hits` of (px)**2, sorted by y,
-    which grows with the divisor."""
-    for d in sorted(hits):
-        yield _row(p, x, d)
 
 
 def enumerate_fast(p: int) -> SolutionSet:

@@ -9,12 +9,13 @@ bucketing cannot place at all and stays empty by construction.
 
 A range's summary is a map over blocks of its primes: the whole range at one
 worker, about parallel.BLOCKS_PER_WORKER blocks of about equal work per
-worker at more.  A block's rows come from enumeration._block_hits, which
-runs the per-prime enumerator's listed columns and walks prime by prime and
-its progression columns in numpy calls that span primes.  Each row is checked
-(enumeration._row) and tallied in one flat loop, unsorted, since a bucket
-count does not depend on the order of the rows.  A range costs about the sum
-of its primes' costs.
+worker at more.  A block's rows come from enumeration._block_hits, the
+enumerator's one driver, which enumerate_fast reads one prime at a time: it
+runs each prime's listed columns and walks on their own, and the progression
+columns of all the block's primes in numpy calls that span primes.  Each row
+is checked (enumeration._row) and tallied in one flat loop, unsorted, since a
+bucket count does not depend on the order of the rows.  A range costs about
+the sum of its primes' costs.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ m = px mod q and D = q - m, the cell y = floor(px/q) + 1 has
 solution: of type I(a) when D | x^2, of lcm shape when m != 0, D | x and
 D | y.  conj1 asks for an I(a) hit in the window p/4 < x <= p/2; that hit is
 also I(b), so it certifies conj2.  The conj5 witness is the first lcm-shaped
-hit in the same window; it certifies conj3-pattern when its x is also the
-lcm partner of its y.
+hit in the same window; its x is always the lcm partner of its y, so it
+certifies conj3-pattern too (_lcm_holds).
 
 Sweeps find the first hit of a block of primes at once, in numpy
 (_first_cells), and _hits confirms each one with _cell before it decides
@@ -434,14 +434,18 @@ def _lcm_holds(p: int, hit: tuple[int, int, int, int] | None, conj3: bool) -> bo
     """Does conj5-pattern (conj3-pattern if conj3) hold at p, given the
     prime's checked conj5 witness `hit` = (x, y, D, scans)?
 
-    The hit's identity is checked here.  conj3-pattern takes it when its x
-    is the lcm partner of its y, and enumerates only when there is none.
+    The hit's identity is checked here.  Its x is the lcm partner of its y
+    (_cell(p, y, True) == (x, D)), so it certifies conj3-pattern as well,
+    which enumerates only a prime without a hit.  Proof: the hit has
+    p/4 < x <= p/2, so y > px/(4x - p) >= p/2 and 4y - p > 2y >= 2x.  D is
+    symmetric in x and y, so py = (4y - p)(x - 1) + (4y - p - D) with
+    0 < D <= x < 4y - p: y's cell is x with the same D, m = 4y - p - D != 0,
+    and D divides x and y.
     """
     if hit is not None:
         x, y, _d, _scans = hit
         require_solution(p, x, y, p * lcm(x, y))
-        if not conj3 or _lcm_partner(p, y) == x:
-            return True
+        return True
     return conj3 and _pattern_y(p) is not None
 
 

@@ -102,7 +102,7 @@ class TestFast:
 
     def test_column_blocks_yield_the_same_rows(self, monkeypatch):
         # the numpy pass spans several blocks only from p near 66 000; blocks
-        # of 7 columns put block seams and walked columns together here
+        # of 7 columns cut each prime's progression columns into many calls
         primes = primes_in(PrimeRange(2, 3000))
         whole = [list(_solution_rows(p)) for p in primes]
         monkeypatch.setattr(enumeration, "_COLUMN_BLOCK", 7)
@@ -178,7 +178,7 @@ class TestProgressions:
         (99689, 25740, 25740**2 // 25350, (25740, 784476, 77018724510)),
     ])
     def test_walks_reach_their_boundary_rows(self, p, x, d, row):
-        assert d in enumeration._walked_hits(p, (8 * p - 1) // 31)[x]
+        assert (x, d) in enumeration._walked_hits(p, (8 * p - 1) // 31)
         assert row in enumerate_fast(p).as_tuples()
 
     # SHA-256 of repr(rows), frozen from an enumerator that listed the divisors

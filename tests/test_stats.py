@@ -8,10 +8,11 @@ import time
 from pathlib import Path
 
 import pytest
+from range_kernel import iter_range_solutions
 
 import straus
 from straus import core, enumeration, parallel, stats
-from straus.core import classify, offset_x
+from straus.core import Triple, classify, offset_x
 from straus.enumeration import FAST_LIMIT, enumerate_fast
 from straus.sieve import PrimeRange, primes_in
 from straus.stats import (
@@ -110,17 +111,28 @@ class TestRangeKernel:
         for i in range(5):
             assert table.counts[i + 1] == sum(b[i] for _, b, _ in rows)
 
+    @staticmethod
+    def _classified(primes, triples):
+        """(p, offset_x buckets, type-II count) per prime, from classify."""
+        buckets = {p: [0] * 5 for p in primes}
+        type_ii = dict.fromkeys(primes, 0)
+        for t in triples:
+            c = classify(t)
+            buckets[t.p][min(c.offset_x, 5) - 1] += 1
+            type_ii[t.p] += c.is_type_ii
+        return [(p, buckets[p], type_ii[p]) for p in primes]
+
     @pytest.mark.parametrize("lo, hi", [(2, 3000), (4001, 4099)])
     def test_block_tally_equals_classify_with_small_kernel_calls(self, lo, hi, monkeypatch):
         # at one worker the range is one block; kernel calls of 7 columns and
-        # numpy tests of 7 cells cut through primes, progressions and blocks
+        # numpy tests of 7 cells cut through primes, progressions and blocks.
+        # enumerate_fast runs _block_hits too, so the expected side comes from
+        # the x-major kernel of tests/range_kernel.py, which shares no code
+        # with it.
         r = PrimeRange(lo, hi)
-        expected = []
-        for p in primes_in(r):
-            buckets = [0] * 5
-            for c in map(classify, enumerate_fast(p)):
-                buckets[min(c.offset_x, 5) - 1] += 1
-            expected.append((p, buckets, sum(buckets[1:])))
+        primes = primes_in(r)
+        expected = self._classified(primes, (Triple(*row) for row in iter_range_solutions(primes)))
+        assert self._classified(primes, (t for p in primes for t in enumerate_fast(p))) == expected
         calls = []
         kernel = enumeration._progression_hits
 

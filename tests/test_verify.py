@@ -294,6 +294,11 @@ class TestCellKernel:
         ia, found = self._kernel_equals_scalar(primes)
         assert [p for p, hit in zip(primes, ia) if hit is None] == [193]
         assert [p for p, hit in zip(primes, found) if hit is None] == [2, 3, 7, 47, 193, 2521]
+        # every conj5 hit's x is the lcm partner of its y (_lcm_holds)
+        for p, hit in zip(primes, found):
+            if hit is not None:
+                x, y, d, _scans = hit
+                assert verify._cell(p, y, True) == (x, d), p
 
     @pytest.mark.parametrize("cell_block", [verify._CELL_BLOCK, 7])
     def test_kernel_equals_the_scalar_scans_at_the_int64_edge(self, cell_block, monkeypatch):
