@@ -142,8 +142,6 @@ def iter_solutions_fast(p: int) -> Iterator[Triple]:
 def _edges(p: int) -> tuple[int, int]:
     """(listed_to, band_to) for p: the last x with x > 64(4x - p), the last
     listed column, and the last x with x > 8(4x - p), the end of the band."""
-    if p == 2:
-        return 1, 1
     return (64 * p - 1) // 255, (8 * p - 1) // 31
 
 

@@ -7,29 +7,26 @@ is how the published distribution for primes <= 4000 tallies (its final row
 aggregates the tail).  The overflow slot therefore only counts entries the
 bucketing cannot place at all and stays empty by construction.
 
-A range's summary is a map over blocks of its primes: the whole range at one
-worker, about parallel.BLOCKS_PER_WORKER blocks of about equal work per
-worker at more.  A block's rows come from enumeration._block_hits, the
-enumerator's one driver, which enumerate_fast reads one prime at a time: it
-runs each prime's listed columns and walks on their own, and the progression
-columns of all the block's primes in numpy calls that span primes.  Each row
-is checked (enumeration._row) and tallied in one flat loop, unsorted, since a
-bucket count does not depend on the order of the rows.  A range costs about
-the sum of its primes' costs.
+A range's summary is a map over blocks of its primes, cut by
+parallel.blocks with each prime weighed by p.  A block's rows come from
+enumeration._block_hits, the enumerator's one driver, which enumerate_fast
+reads one prime at a time: it runs each prime's listed columns and walks on
+their own, and the progression columns of all the block's primes in numpy
+calls that span primes.  Each row is checked (enumeration._row) and tallied
+in one flat loop, unsorted, since a bucket count does not depend on the
+order of the rows.  A range costs about the sum of its primes' costs.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 from math import log
 from pathlib import Path
 from typing import IO, Sequence
 
 from .core import offset_x
 from .enumeration import FAST_LIMIT, _block_hits, _row
-from .parallel import BLOCKS_PER_WORKER, pmap
+from .parallel import blocks, pmap
 from .sieve import PrimeRange, primes_in
 from .sink import write_to
 
@@ -100,21 +97,6 @@ def _block_buckets(primes: Sequence[int]) -> list[tuple[int, ...]]:
     return [tuple(buckets) for buckets in tally.values()]
 
 
-def _blocks(primes: list[int], workers: int) -> list[list[int]]:
-    """The range's primes as one block at one worker; at more as about
-    BLOCKS_PER_WORKER blocks per worker of about equal work, the sum of
-    their primes, none split.  Equal blocks let pmap's strided sample time
-    its items fairly and keep a worker's last chunk from holding the
-    costliest primes."""
-    if workers <= 1 or len(primes) < 2:
-        return [primes]
-    n = BLOCKS_PER_WORKER * workers
-    total = list(accumulate(primes))
-    ends = {min(bisect_left(total, k * total[-1] / n) + 1, len(primes)) for k in range(1, n)}
-    cuts = [0, *sorted(ends | {len(primes)})]
-    return [primes[a:b] for a, b in zip(cuts, cuts[1:])]
-
-
 def range_summary(
     r: PrimeRange, workers: int = 1
 ) -> tuple[DistTable, list[PerPrimeProportion]]:
@@ -130,7 +112,7 @@ def range_summary(
             "worker); split it into narrower ranges"
         )
     primes = primes_in(r)
-    per_prime = [b for block in pmap(_block_buckets, _blocks(primes, workers), workers)
+    per_prime = [b for block in pmap(_block_buckets, blocks(primes, workers, primes), workers)
                  for b in block]
     counts = {i: sum(b[i - 1] for b in per_prime) for i in BUCKETS}
     series = [PerPrimeProportion(p, sum(b), sum(b[1:])) for p, b in zip(primes, per_prime)]

@@ -22,10 +22,11 @@ certifies conj3-pattern too (_lcm_holds).
 
 Sweeps find the first hit of a block of primes at once, in numpy
 (_first_cells), and _hits confirms each one with _cell before it decides
-anything.  The single-prime entry points run in plain Python and never load
-numpy: the conj5 witness and the I(a) cell scan their window with _cell
-(_scan), and the conj3 witness walks x-columns down from the partner of
-ceil(p/2) (_conj3_descent), confirming its hit with _cell.
+anything; a prime the kernel misses is decided by the scalar scan.  The
+single-prime entry points run in plain Python and never load numpy: the
+conj5 witness and the I(a) cell scan their window with _cell (_scan), and
+the conj3 witness walks x-columns down from the partner of ceil(p/2)
+(_conj3_descent), confirming its hit with _cell.
 
 A prime without a hit is an exception of conj1 and conj5-pattern; conj2 and
 conj3-pattern enumerate it (enumeration._solution_rows, whose rows arrive
@@ -45,7 +46,7 @@ from typing import IO, Sequence
 
 from .core import Triple, offset_x, require_solution
 from .enumeration import _CELL_BLOCK, _solution_rows
-from .parallel import BLOCKS_PER_WORKER, pmap
+from .parallel import blocks, pmap
 from .sieve import PrimeRange, primes_in, require_prime
 from .sink import write_to
 
@@ -147,17 +148,12 @@ def _cell(p: int, x: int, lcm_shaped: bool) -> tuple[int, int] | None:
     return None if lcm_shaped and y % d else (y, d)
 
 
-def _lcm_partner(p: int, a: int) -> int | None:
-    """b = ceil(pa/(4a - p)) if a's cell b is lcm-shaped (_cell), else None."""
-    return hit[0] if (hit := _cell(p, a, True)) else None
-
-
 def witness_divisibility_y(p: int, y: int) -> bool:
     """y-side witness predicate: gcd(p, y) = 1, m != 0 and q - m divides y.
 
     Given gcd(p, y) = 1, q - m dividing y makes it divide the partner too.
     """
-    return gcd(p, y) == 1 and _lcm_partner(p, y) is not None
+    return gcd(p, y) == 1 and _cell(p, y, True) is not None
 
 
 def witness_divisibility_x(p: int, x: int) -> bool:
@@ -165,7 +161,7 @@ def witness_divisibility_x(p: int, x: int) -> bool:
 
     For prime p and x < p this is m != 0, q - m dividing x and gcd(p, y) = 1.
     """
-    return (y := _lcm_partner(p, x)) is not None and gcd(p, y) == 1
+    return (hit := _cell(p, x, True)) is not None and gcd(p, hit[0]) == 1
 
 
 def check_conj3_witness(p: int, y: int) -> bool:
@@ -295,24 +291,6 @@ def _ia_cell(p: int) -> tuple[int, int, int, int] | None:
 # lies within it.
 _CELL_LIMIT = 10_000_000
 
-# Sweeps check their primes in blocks: one _first_cells call per block, and
-# one pmap item.  Each call pays its rounds' numpy overhead, so small blocks
-# cost more: in-process over the primes below 10^6 and in [9*10^6, 10^7]
-# (2-vCPU box, Python 3.11, best of five), blocks of 512 to 4096 primes
-# took the same time within the noise, 256 1.3-1.7 times and 128 about
-# twice as long.  At one worker a sweep takes blocks of _PRIME_BLOCK; at
-# more it splits into about parallel.BLOCKS_PER_WORKER blocks per worker of
-# equal numbers of primes, but none smaller than _MIN_BLOCK.
-_PRIME_BLOCK = 1 << 12
-_MIN_BLOCK = 1 << 9
-
-
-def _block_size(n: int, workers: int) -> int:
-    """Primes per block for a sweep of n primes at `workers` workers."""
-    if workers <= 1:
-        return _PRIME_BLOCK
-    return max(_MIN_BLOCK, min(_PRIME_BLOCK, -(-n // (BLOCKS_PER_WORKER * workers))))
-
 
 def _first_cells(primes: Sequence[int], lcm_shaped: bool) -> list[int]:
     """For each prime p (all <= _CELL_LIMIT), the first x in p/4 < x <= p/2
@@ -366,16 +344,19 @@ def _hits(primes: Sequence[int], lcm_shaped: bool) -> list[tuple[int, int, int, 
     """[_scan(p, *conj5_window(p), True) if lcm_shaped else _ia_cell(p)] for
     the primes: each prime's first hit (x, y, D, scans) in p/4 < x <= p/2,
     or None.  Each _first_cells hit must lie in that window and pass _cell
-    in exact integers; any other cell raises.  2, the one even prime, takes
-    _ia_cell's special case.  A block holding a prime past _CELL_LIMIT,
-    which only a caller's ledger or _check_claim brings, runs the scalar
-    scans on every prime."""
+    in exact integers; any other cell raises.  The scalar scan decides each
+    prime the kernel finds no hit for (below 10^7, 2 and 193 for the I(a)
+    cell, and 2, 3, 7, 47, 193 and 2521 for the lcm shape), and every prime
+    of a block holding one past _CELL_LIMIT, which only a caller's ledger or
+    _check_claim brings."""
     if max(primes, default=0) > _CELL_LIMIT:
-        return [_scan(p, *conj5_window(p), True) if lcm_shaped else _ia_cell(p) for p in primes]
+        firsts = [0] * len(primes)
+    else:
+        firsts = _first_cells(primes, lcm_shaped)
     found: list[tuple[int, int, int, int] | None] = []
-    for p, x in zip(primes, _first_cells(primes, lcm_shaped)):
+    for p, x in zip(primes, firsts):
         if not x:
-            found.append(_ia_cell(p) if p == 2 and not lcm_shaped else None)
+            found.append(_scan(p, *conj5_window(p), True) if lcm_shaped else _ia_cell(p))
             continue
         lo = (p + 3) // 4  # conj5_window(p)
         hit = _cell(p, x, lcm_shaped) if lo <= x <= p // 2 else None
@@ -512,8 +493,8 @@ def sweep(
     workers: int = 1,
     store_witnesses: bool = False,
 ) -> ExceptionLedger:
-    """Run the claim's verifier over every prime in r, in blocks of
-    _block_size primes.
+    """Run the claim's verifier over every prime in r, in blocks of about
+    equal numbers of primes (parallel.blocks).
 
     Partitioning across workers never changes the result; the ledger merge is
     a plain ordered concatenation.  A sweep too cheap to pay for a pool runs
@@ -523,9 +504,7 @@ def sweep(
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
     r.require_within(CLAIM_CEILINGS[claim], claim)
     primes = primes_in(r)
-    size = _block_size(len(primes), workers)
-    blocks = [primes[i : i + size] for i in range(0, len(primes), size)]
-    checked = pmap(partial(_check_block, claim, store_witnesses), blocks, workers)
+    checked = pmap(partial(_check_block, claim, store_witnesses), blocks(primes, workers), workers)
     exceptions = tuple(p for block, _witnesses in checked for p in block)
     witnesses = tuple(w for _exceptions, block in checked for w in block)
     return ExceptionLedger(claim, r, exceptions, witnesses)

@@ -4,8 +4,10 @@ against.
 It reaches every solution of a list of primes from a different order of work
 than the per-prime enumerator (columns outermost, each column's divisors of
 x**2 tested against all its primes at once, no divisor walks), so a row the
-per-prime path loses shows up as a difference.  Import it with tests/ on the
-path: `PYTHONPATH=src:tests python -c "from range_kernel import ..."`.
+per-prime path loses shows up as a difference.  It shares no code with the
+enumerator, not even the factorization, so a factoring fault cannot hide by
+hitting both sides.  Import it with tests/ on the path:
+`PYTHONPATH=src:tests python -c "from range_kernel import ..."`.
 """
 
 from __future__ import annotations
@@ -16,9 +18,25 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from straus.core import require_solution
-from straus.enumeration import _square_divisors
 
 _BLOCK_CELLS = 1 << 18  # most (prime, divisor) pairs per numpy call
+
+
+def _square_divisors(x: int) -> list[int]:
+    """All divisors of x**2, from x factored by trial division by every
+    integer q with q*q <= x (a composite q finds its factors gone)."""
+    divs, n, q = [1], x, 2
+    while q * q <= n:
+        e = 0
+        while n % q == 0:
+            n //= q
+            e += 1
+        if e:
+            divs = [d * q**k for d in divs for k in range(2 * e + 1)]
+        q += 1
+    if n > 1:
+        divs = [d * n**k for d in divs for k in range(3)]
+    return divs
 
 
 def iter_range_solutions(

@@ -3,9 +3,9 @@ import time
 
 import pytest
 
-from straus import parallel, verify
-from straus.parallel import pmap
-from straus.sieve import PrimeRange
+from straus import parallel
+from straus.parallel import blocks, pmap
+from straus.sieve import PrimeRange, primes_in
 from straus.verify import sweep
 
 _CLOCK = [0.0]  # a fake perf_counter that each _costed call advances
@@ -121,9 +121,7 @@ class TestSampledPmap:
     def test_sweeps_are_probed(self, fake_clock, monkeypatch):
         # the fake clock stands still, so the sample projects no cost
         monkeypatch.setattr(parallel, "get_context", _no_pool)
-        monkeypatch.setattr(verify, "_PRIME_BLOCK", 100)  # 13 blocks at one worker
-        monkeypatch.setattr(verify, "_MIN_BLOCK", 1)  # 32 at two
-        r = PrimeRange(2, 10_000)
+        r = PrimeRange(2, 10_000)  # 1229 primes: 32 blocks at two workers
         assert sweep("conj1", r, workers=2).exceptions == (193,)
 
     def test_order_kept_across_the_fork(self, monkeypatch):
@@ -136,9 +134,60 @@ class TestSampledPmap:
          ("conj3-pattern", True), ("conj5-pattern", True)],
     )
     def test_forked_ledgers_equal_in_process_ones(self, claim, store, monkeypatch):
-        monkeypatch.setattr(verify, "_PRIME_BLOCK", 100)  # 13 blocks at one worker
-        monkeypatch.setattr(verify, "_MIN_BLOCK", 1)  # 32 at two
-        r = PrimeRange(2, 10_000)
+        r = PrimeRange(2, 10_000)  # 1229 primes: one block at one worker, 32 at two
         expected = sweep(claim, r, workers=1, store_witnesses=store)
         monkeypatch.setattr(parallel, "_POOL_START_S", -1.0)
         assert sweep(claim, r, workers=2, store_witnesses=store) == expected
+
+
+def _cut(primes, workers, weights=None):
+    """blocks(primes, workers, weights), after asserting that it keeps every
+    prime, in order, and leaves no block empty."""
+    cut = blocks(primes, workers, weights)
+    assert [p for block in cut for p in block] == list(primes)
+    assert all(cut)
+    return cut
+
+
+class TestBlocks:
+    """The one rule that cuts a sweep's primes into pmap items."""
+
+    def test_count_weights_cut_blocks_of_equal_size(self):
+        primes = primes_in(PrimeRange(2, 120_000))  # conj3-pattern to 120000
+        assert len(primes) == 11_301
+        assert list(map(len, _cut(primes, 1))) == [3767] * 3
+        assert sorted(map(len, _cut(primes, 2))) == [353] * 27 + [354] * 5
+        assert sorted(map(len, _cut(primes, 3))) == [235] * 27 + [236] * 21
+
+    def test_p_weights_cut_blocks_of_equal_work(self):
+        primes = primes_in(PrimeRange(2, 20_000))
+        assert _cut(primes, 1, primes) == [primes]
+        cut = _cut(primes, 2, primes)
+        assert len(cut) == 32
+        share = sum(primes) / 32
+        assert all(abs(sum(block) - share) < primes[-1] for block in cut)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_cap_bounds_a_block_by_count(self, workers):
+        assert len(_cut(range(4096), workers)) == (1 if workers == 1 else 32)
+        assert sorted(map(len, _cut(range(4097), workers))) == (
+            [2048, 2049] if workers == 1 else [128] * 31 + [129])
+        assert {len(block) for block in _cut(range(10**6), workers)} == {4081, 4082}
+        assert len(_cut(range(10**6), workers)) == 245
+
+    def test_p_weights_keep_the_count_of_blocks(self):
+        # stats to 200000 at one worker: as many blocks as the cap asks for,
+        # of equal work, so the first holds the most primes
+        primes = primes_in(PrimeRange(2, 200_000))
+        assert len(primes) == 17_984
+        assert list(map(len, _cut(primes, 1, primes))) == [8384, 3258, 2469, 2064, 1809]
+
+    @pytest.mark.parametrize("weighed_by_p", [False, True])
+    def test_a_few_primes_make_one_block_each(self, weighed_by_p):
+        top = primes_in(PrimeRange(999_900, 10**6))
+        assert len(top) == 8
+        assert _cut(top, 2, top if weighed_by_p else None) == [[p] for p in top]
+        assert _cut(top, 1, top if weighed_by_p else None) == [top]
+
+    def test_no_primes_make_no_blocks(self):
+        assert blocks([], 1) == blocks([], 2) == blocks([], 2, []) == []

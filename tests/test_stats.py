@@ -163,17 +163,6 @@ class TestRangeKernel:
         with pytest.raises(ValueError, match="not a solution"):
             range_summary(r)
 
-    def test_blocks_split_by_work_and_keep_primes_whole(self):
-        primes = primes_in(PrimeRange(2, 20_000))
-        assert stats._blocks(primes, 1) == [primes]
-        blocks = stats._blocks(primes, 2)
-        assert [p for block in blocks for p in block] == primes
-        assert len(blocks) == 32
-        share = sum(primes) / 32
-        assert all(abs(sum(block) - share) < primes[-1] for block in blocks)
-        top = primes_in(PrimeRange(999_900, 10**6))
-        assert stats._blocks(top, 2) == [[p] for p in top]
-
     def test_a_few_costly_primes_still_fork(self, monkeypatch):
         # the 8 primes in [999900, 10^6] make 8 one-prime blocks at two
         # workers.  The pool's start cost is set to 0, so that the test does

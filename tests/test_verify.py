@@ -280,11 +280,17 @@ class TestCellKernel:
     @staticmethod
     def _kernel_equals_scalar(primes):
         """Both shapes' _hits for the primes, after asserting that they
-        equal the scalar scans: (x, y, D, scans) per prime, or None."""
+        equal the scalar scans: (x, y, D, scans) per prime, or None.  The
+        scans decide the primes the kernel misses, so the misses are pinned
+        too: the primes without a hit, and 2, whose I(a) solution (1, 2, 2)
+        has D = 2, which does not divide x^2."""
         ia = verify._hits(primes, lcm_shaped=False)
         assert ia == [verify._ia_cell(p) for p in primes]
         found = verify._hits(primes, lcm_shaped=True)
         assert found == [verify._scan(p, *conj5_window(p), True) for p in primes]
+        for lcm_shaped, hits in ((False, ia), (True, found)):
+            missed = [p for p, x in zip(primes, verify._first_cells(primes, lcm_shaped)) if not x]
+            assert missed == [p for p, hit in zip(primes, hits) if hit is None or p == 2]
         return ia, found
 
     @pytest.mark.parametrize("cell_block", [verify._CELL_BLOCK, 7])
@@ -404,14 +410,6 @@ class TestSweep:
         r = PrimeRange(2, 600)
         assert sweep("conj1", r, workers=1) == sweep("conj1", r, workers=2)
         assert sweep("conj3-pattern", r, workers=2).exceptions == (2,)
-
-    def test_blocks_split_the_range_among_the_workers(self):
-        assert verify._block_size(62_090, 1) == verify._PRIME_BLOCK
-        # conj3-pattern to 120000 (11 301 primes): 23 blocks at two workers
-        assert verify._block_size(11_301, 2) == verify._MIN_BLOCK
-        # the primes in [9*10^6, 10^7]: 32 blocks at two workers
-        assert verify._block_size(62_090, 2) == 1941
-        assert verify._block_size(664_579, 2) == verify._PRIME_BLOCK
 
     def test_recheck_reverifies_exceptions(self):
         ledger = sweep("conj1", PrimeRange(2, 1000))
@@ -544,9 +542,7 @@ class TestRuleCertificate:
 
     @pytest.mark.parametrize("claim", ["conj2", "conj3-pattern"])
     def test_ledgers_equal_at_one_and_two_workers_to_10000(self, claim, monkeypatch):
-        monkeypatch.setattr(verify, "_PRIME_BLOCK", 100)  # 13 blocks at one worker
-        monkeypatch.setattr(verify, "_MIN_BLOCK", 1)  # 32 at two
-        r = PrimeRange(2, 10_000)
+        r = PrimeRange(2, 10_000)  # 1229 primes: one block at one worker, 32 at two
         assert sweep(claim, r, workers=1) == sweep(claim, r, workers=2)
 
     def test_stored_witnesses_are_the_enumerated_first_to_3000(self):
