@@ -4,29 +4,32 @@ enumerate_oracle sweeps one prime's whole (x, y) search region and is
 deliberately naive; enumerate_fast reformulates each x-column as a
 divisor-pair problem, lists divisors only in the first columns and finds the
 other pairs as residue classes mod 4x - p or by walking the divisors of a few
-small numbers.  One driver, _block_hits, walks the columns of a block of
-primes: stats tallies its hits unordered, and _solution_rows, behind
-enumerate_fast, solve and the claim checks, reads one prime's hits in (x, y)
-order.  enumerate_fast must reproduce the oracle, which exists so it can
+small numbers, all in numpy.  One driver, _block_hits, walks the columns of
+a block of primes: stats tallies its hits unordered, and _solution_rows,
+behind enumerate_fast, solve and the claim checks, reads one prime's hits in
+(x, y) order.  enumerate_fast must reproduce the oracle, which exists so it can
 be checked against it wholesale.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Collection, Iterable, Iterator, Sequence
 
 from .core import Triple, next_boundary, require_solution
 from .sieve import PrimeRange, primes_in, require_prime
 from .sink import write_to
 
 ORACLE_LIMIT = 10_000
-# `straus solve 9999991` takes 0.60-0.76 s on one core at 40 MiB peak RSS
+# `straus solve 9999991` takes 0.67-0.69 s on one core at 41 MiB peak RSS
 # (2-vCPU box, Python 3.11, numpy 2.4); the time grows like p, and the memory
-# stays flat because the progression pass runs in blocks of _COLUMN_BLOCK
-# columns and _CELL_BLOCK candidates.
+# stays flat because every numpy step is bounded: the listed rounds factor and
+# test at most _CELL_BLOCK numbers or pairs at a time, and the progression pass
+# runs in blocks of _COLUMN_BLOCK columns and _CELL_BLOCK candidates.
 FAST_LIMIT = 10_000_000
 
 # The progression pass spans 2.4 M columns at FAST_LIMIT and lays up to 3 * 64
@@ -36,40 +39,104 @@ FAST_LIMIT = 10_000_000
 _COLUMN_BLOCK = 1 << 14
 _CELL_BLOCK = 1 << 16
 
-# The largest number the enumerator factors: _walked_hits walks the divisors
-# of u**2 with u = (m*p + 1)/4, m <= 31, for p <= FAST_LIMIT, and the listed
-# columns x <= 64p/255 lie below it.  Every n up to it has at most one prime
-# factor above _TRIAL_PRIMES[-1] = 8803, so trial division factors it exactly.
+# The largest number the enumerator factors: the walks factor u = (m*p + 1)/4,
+# m <= 31, for p <= FAST_LIMIT, and the listed columns x <= 64p/255 lie below
+# it.  Every n up to it has at most one prime factor above _TRIAL_PRIMES[-1] =
+# 8803, so trial division factors it exactly.
 _FACTOR_LIMIT = (31 * FAST_LIMIT + 1) // 4
-_TRIAL_PRIMES = tuple(primes_in(PrimeRange(2, isqrt(_FACTOR_LIMIT))))
+# The tables are int64 arrays, which numpy reads in place (np.frombuffer).
+_TRIAL_PRIMES = array("q", primes_in(PrimeRange(2, isqrt(_FACTOR_LIMIT))))
+# For each trial prime q, a power q**k > _FACTOR_LIMIT, so that gcd(n, q**k) is
+# the exact power of q in any n it factors: q >= 2**(b - 1) for b bits, so
+# k = ceil(27/(b - 1)) suffices, and q**k < 2**56.
+_TRIAL_COVERS = array("q", (q ** -(-_FACTOR_LIMIT.bit_length() // (q.bit_length() - 1))
+                            for q in _TRIAL_PRIMES))
+
+# A listed round gives each live prime its next `width` columns, width doubling
+# from 1, but never fewer than _ROUND_FLOOR columns in all: a prime p has about
+# p/1020 listed columns, so one prime up to 2 * 10**5 (196 columns) is done in
+# one or two rounds.
+_ROUND_FLOOR = 128
+# A round has at most max(live primes, _CELL_BLOCK) < 2**18 columns, so that a
+# hit's column and D < 2**45 share one int64 sort key; longer lists of primes
+# go through the rounds in parts.
+_ROUND_PRIMES = 1 << 17
 
 
-def _square_divisors(x: int) -> tuple[int, ...]:
-    """All divisors of x**2, from the factorization of x (unsorted)."""
-    if x > _FACTOR_LIMIT:
-        raise ValueError(f"{x} exceeds the factoring bound {_FACTOR_LIMIT}")
-    factors = []
-    n = x
-    for q in _TRIAL_PRIMES:
-        if q * q > n:
-            break
-        if n % q == 0:
-            e = 0
-            while n % q == 0:
-                n //= q
-                e += 1
-            factors.append((q, e))
-    if n > 1:
-        factors.append((n, 1))
-    divs = [1]
-    for q, e in factors:
-        qk = [q**k for k in range(1, 2 * e + 1)]
-        divs += [d * f for d in divs for f in qk]
-    return tuple(divs)
+def _square_divisors(ns, most=None) -> Iterator[tuple]:
+    """(owner, divisor) int64 arrays, chunk by chunk: every divisor of n**2
+    for each n of the int64 array `ns` (1 <= n <= _FACTOR_LIMIT), or only
+    those up to most[i] for n = ns[i] if `most` is given, owner being n's
+    index in `ns`; owners ascend, each owner's divisors unsorted.
+
+    A chunk's numbers are tried against the trial primes up to the square
+    root of its largest one, in one (number, prime) matrix of at most
+    _CELL_BLOCK entries; what remains of n is 1 or a prime.  q divides n
+    iff the float64 quotient n/q is whole: n < 2**53, and a quotient that
+    is not whole lies at least 1/q > 10**-4 from the nearest integer, far
+    beyond its rounding error.  The exact power q**e of a trial prime q in
+    n is gcd(n, _TRIAL_COVERS[q's index]).  Each n starts with the divisor
+    1, and its k-th prime factor q**e turns every divisor so far into
+    2e + 1, times q**0 .. q**2e; a divisor past `most` is dropped at once,
+    since later factors only raise it.
+    """
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
+    if not ns.size:
+        return
+    if (largest := int(ns.max())) > _FACTOR_LIMIT:
+        raise ValueError(f"{largest} exceeds the factoring bound {_FACTOR_LIMIT}")
+    top = bisect_right(_TRIAL_PRIMES, isqrt(largest))
+    trial = np.frombuffer(_TRIAL_PRIMES, dtype=np.int64, count=top)
+    cover = np.frombuffer(_TRIAL_COVERS, dtype=np.int64, count=top)
+    rows = max(1, _CELL_BLOCK // max(1, top))
+    for a in range(0, ns.size, rows):
+        n = ns[a : a + rows]
+        t = bisect_right(_TRIAL_PRIMES, isqrt(int(n.max())), hi=top)
+        quotient = n[:, None] / trial[:t]
+        own, j = (quotient == np.floor(quotient)).nonzero()  # own ascends
+        qe = np.gcd(n[own], cover[j])
+        rest = n.copy()
+        np.floor_divide.at(rest, own, qe)  # 1, or the one prime factor past trial[:t]
+        found = np.bincount(own, minlength=n.size)
+        big = (rest > 1).nonzero()[0]
+        # the k-th prime factor q**e of n[i] (the trial primes in order, then
+        # the one left): base[k, i] = q and radix[k, i] = 2e + 1, or 1 past
+        # n[i]'s last factor; at least one k, so that `most` also meets n = 1
+        radix = np.ones((max(1, int((found + (rest > 1)).max())), n.size), dtype=np.int64)
+        base = np.ones_like(radix)
+        rank = np.arange(own.size) - own.searchsorted(own)
+        radix[rank, own] = 2 * np.rint(np.log(qe) / np.log(trial[j])) + 1
+        base[rank, own] = trial[j]
+        radix[found[big], big] = 3
+        base[found[big], big] = rest[big]
+        # powers holds base[k, i]**c for c < radix[k, i] at slot[k, i] + c,
+        # up to spawn_end[k, i]
+        radix_flat = radix.ravel()
+        slot = radix.cumsum() - radix_flat
+        powers = base.ravel().repeat(radix_flat)
+        powers **= np.arange(powers.size) - slot.repeat(radix_flat)
+        spawn_end = slot.reshape(radix.shape) + radix
+        bound = None if most is None else most[a : a + rows]
+        # od holds the owners and the divisors so far; factor k of n[i] turns
+        # each divisor of i into radix[k, i] of them
+        od = np.stack([np.arange(n.size), np.ones_like(n)])
+        for rk, ek in zip(radix, spawn_end):
+            r = rk[od[0]]
+            ends = r.cumsum()
+            c = (ek[od[0]] - ends).repeat(r)
+            c += np.arange(c.size)
+            od = od.repeat(r, axis=1)
+            od[1] *= powers[c]
+            if bound is not None:
+                od = od[:, od[1] <= bound[od[0]]]
+        yield od[0] + a, od[1]
 
 
-# The s <= 16 of _walked_hits' d0-type walk, each with the divisors d0 of s**2.
-_D0_WALKS = tuple((s, _square_divisors(s)) for s in range(1, 17))
+# The d0-type walks: each s <= 16 with each divisor d0 of s**2, as (s, d0)
+# pairs side by side in one int64 array.
+_D0_WALKS = array("q", (v for s in range(1, 17) for d0 in range(1, s * s + 1)
+                        if s * s % d0 == 0 for v in (s, d0)))
 
 
 @dataclass(frozen=True)
@@ -149,11 +216,11 @@ def _solution_rows(p: int) -> Iterator[tuple[int, int, int]]:
     """The solutions for the prime p as (x, y, z) ints in (x, y) order: the
     hits of _block_hits([p]), each turned into its row and checked by _row.
 
-    The listed columns' hits arrive column by column in ascending D, which
-    is ascending y, and pass on as they come, so a caller that stops at a
-    row there pays only for the columns up to it.  The hits past the
-    listed columns come unordered: at the first of them the rest are
-    collected and sorted by (x, D).
+    The listed columns' hits arrive round by round in (x, D) order, which
+    is (x, y) order, and pass on as they come, so a caller that stops at a
+    row there pays only for the rounds up to it.  The hits past the listed
+    columns come unordered: at the first of them the rest are collected and
+    sorted by (x, D).
     """
     hits = _block_hits([p])
     listed_to = _edges(p)[0]
@@ -177,7 +244,7 @@ def _block_hits(primes: Sequence[int]) -> Iterator[tuple[int, int, int]]:
     via y = (N+d)/r, z = (N+e)/r.  Divisors of N**2 = p**2 * x**2 that are
     <= N are exactly the divisors of x**2 (all below N since x < p) plus
     p*d0 for divisors d0 of x**2 with d0 <= x.  The first columns, x > 64r,
-    list the divisors of x**2 (_listed_hits).
+    list the divisors of x**2.
 
     In the other columns r is coprime to N and p = 4x (mod r), so each
     candidate type is one residue class mod r inside [1, x], holding at most
@@ -186,24 +253,29 @@ def _block_hits(primes: Sequence[int]) -> Iterator[tuple[int, int, int]]:
     _progression_hits tests the d-type up to p/2 (past it d < 2x(2x - p),
     so y < x) and, in the band 8r < x <= 64r, the other two types as well;
     above the band, where x <= 8r, divisor walks over small numbers find
-    those two (_walked_hits).
+    those two (_e_walks, _d0_walk_hits).
 
-    Each prime's listed columns come first, in (x, D) order, then its
-    walks; the progression columns of all the primes go last to
-    _progression_hits, in calls of _COLUMN_BLOCK columns, so that one call
-    may span several primes.  Past the listed columns the hits come in no
-    particular order.
+    The block runs in three stages, each over all its primes at once:
+    1. the listed columns, x-major, in rounds of columns whose width
+       doubles (_listed_rounds), each round's hits in (x, D) order per
+       prime, so that a caller that stops at a row there pays only for the
+       rounds up to it;
+    2. with the last round, whose factoring pass they share, the e-type and
+       d0-type walks of every prime, their hits after the round's;
+    3. the progression columns of all the primes, to _progression_hits in
+       calls of _COLUMN_BLOCK columns, so that one call may span several
+       primes.
+    Past the listed columns the hits come in no particular order.  Every
+    stage computes in int64, exact up to FAST_LIMIT, where _listed_rounds
+    refuses a larger prime: a listed x <= 64p/255 has x**2 < 6.3 * 10**12
+    and px + d < 3.2 * 10**13 (px + p*d0 <= 2px < 5.1 * 10**13), a walked
+    u <= (31p + 1)/4 = 7.75 * 10**7 has u**2 < 6.1 * 10**15, and the
+    progression values stay below 2**47 (each docstring has its bounds).
     """
-    if max(primes, default=0) > FAST_LIMIT:
-        raise ValueError(f"p = {max(primes)} exceeds the enumeration ceiling {FAST_LIMIT}")
+    yield from _listed_rounds(primes, walks=True)
     segments = []
     for p in primes:
         listed_to, band_to = _edges(p)
-        for x in range(p // 4 + 1, listed_to + 1):
-            for d in _listed_hits(p, x):
-                yield p, x, d
-        for x, d in _walked_hits(p, band_to):
-            yield p, x, d
         segments.append((p, listed_to + 1, p // 2 + 1, band_to))
     call, room = [], _COLUMN_BLOCK
     for p, lo, hi, band_to in segments:
@@ -219,20 +291,188 @@ def _block_hits(primes: Sequence[int]) -> Iterator[tuple[int, int, int]]:
         yield from _progression_hits(call)
 
 
-def _listed_hits(p: int, x: int) -> list[int]:
-    """The divisors D of (p*x)**2 that give solutions in the listed column x
-    (p/4 < x <= 64r, so x <= p/2 and every D gives y >= x): the divisors d
-    of x**2 with r | px + d, and p*d0 for the divisors d0 <= x of x**2 with
-    r | px + p*d0, in ascending order."""
-    r = 4 * x - p
-    n = p * x
+def _listed_rounds(primes: Sequence[int], done: Collection[int] = (), walks: bool = False
+                   ) -> Iterator[tuple[int, int, int]]:
+    """(p, x, D) for the solutions in the listed columns p/4 < x <= 64r
+    (r = 4x - p, so x <= p/2 and every D gives y >= x) of the primes: the
+    divisors d of x**2 with r | px + d, and D = p*d0 for the divisors
+    d0 <= x of x**2 with r | px + p*d0; with `walks`, then the hits of the
+    primes' divisor walks.
+
+    The columns go x-major, in rounds.  A round gives every live prime its
+    next w listed columns, w doubling from 1 but at least
+    _ROUND_FLOOR // (live primes) and at most _CELL_BLOCK // (live primes).
+    It factors each distinct x of the round once (_square_divisors) and
+    tests every (p, d) pair of its columns in one int64 expression, at most
+    _CELL_BLOCK pairs at a time.  Its hits come in the order of `primes`,
+    each prime's in (x, D) order, which is (x, y) order.  A prime leaves
+    the rounds after its last listed column, or once it is in `done`,
+    which the caller may fill as the hits arrive: it is read before each
+    round and before each hit.  With `walks`, the last round (a round
+    without columns if no prime has listed columns) also factors the u of
+    every prime's e-type walks (_e_walks) in the same pass, and the walk
+    hits, the d0-type ones too (_d0_walk_hits), follow its own.
+
+    int64 is exact: at FAST_LIMIT, x <= 64p/255 < 2.51 * 10**6, so
+    d <= x**2 < 6.3 * 10**12, px + d < 3.2 * 10**13 and
+    px + p*d0 <= 2px < 5.1 * 10**13.  A round's hits are sorted as one
+    int64 key, column * 2**45 + D, since D <= px < 2**45 and a round has
+    fewer than 2**18 columns: at most max(live primes, _CELL_BLOCK), and
+    longer lists of primes go through the rounds _ROUND_PRIMES at a time.
+    """
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
+    if not primes:
+        return
+    if max(primes) > FAST_LIMIT:
+        raise ValueError(f"p = {max(primes)} exceeds the enumeration ceiling {FAST_LIMIT}")
+    if len(primes) > _ROUND_PRIMES:
+        for a in range(0, len(primes), _ROUND_PRIMES):
+            yield from _listed_rounds(primes[a : a + _ROUND_PRIMES], done, walks)
+        return
+    ps = np.array(primes, dtype=np.int64)
+    nxt = ps // 4 + 1  # each prime's next listed column
+    end = (64 * ps - 1) // 255  # and its last, _edges(p)[0]
+    live = np.flatnonzero(nxt <= end)
+    width = 1
+    while live.size or walks:
+        if done:
+            live = live[~np.isin(ps[live], list(done))]
+        n_live = max(1, live.size)
+        width = min(max(width, _ROUND_FLOOR // n_live), max(1, _CELL_BLOCK // n_live))
+        lp, ln, le = ps[live], nxt[live], end[live]
+        take = np.minimum(le - ln + 1, width)
+        cols = take.cumsum()
+        cp = lp.repeat(take)
+        cx = np.arange(take.sum()) + (ln - cols + take).repeat(take)
+        nxt[live] = ln + take
+        last = walks and not (ln + take <= le).any()
+        by_x = cx.argsort(kind="stable")
+        xs = cx[by_x]
+        # the columns of ux[i] are by_x[at[i]:at[i + 1]]
+        at = np.concatenate([xs[:1] == xs[:1], xs[1:] != xs[:-1], [True]]).nonzero()[0]
+        ux, n_cols = xs[at[:-1]], at[1:] - at[:-1]
+        # each hit as one int64 sort key, its column above D <= px < 2**45
+        ns, most, keys = ux, None, [cols[:0]]
+        if last:
+            e_walks = _e_walks(ps)
+            ns = np.concatenate([ux, e_walks[3]])
+            most = np.concatenate([ux * ux, e_walks[4]])
+            walk_hits = [_d0_walk_hits(ps)]
+        for owner, div in _square_divisors(ns, most):
+            cut = owner.searchsorted(ux.size)  # owners past ux are walks
+            if cut < owner.size:
+                walk_hits.append(_e_walk_hits(e_walks, owner[cut:] - ux.size, div[cut:]))
+            if not cut:
+                continue
+            owner, div = owner[:cut], div[:cut]
+            a, b = owner[0], owner[-1] + 1  # this chunk's x, ux[a:b], and their columns
+            c = by_x[at[a] : at[b]]
+            n_div = np.bincount(owner - a)
+            per = n_div.repeat(n_cols[a:b])
+            # column i of the chunk has pairs edges[i] <= g < edges[i + 1], pair g
+            # testing div[g + shift[i]]
+            edges = np.concatenate([[0], per.cumsum()])
+            shift = (n_div.cumsum() - n_div).repeat(n_cols[a:b]) - edges[:-1]
+            for g0 in range(0, int(edges[-1]), _CELL_BLOCK):
+                g1 = min(g0 + _CELL_BLOCK, int(edges[-1]))
+                i0, i1 = edges.searchsorted([g0, g1 - 1], side="right") - 1
+                span = edges[i0 : i1 + 2]
+                i = np.arange(i0, i1 + 1).repeat(np.minimum(span[1:], g1) - np.maximum(span[:-1], g0))
+                d = div[np.arange(g0, g1) + shift[i]]
+                i = c[i]
+                x, p = cx[i], cp[i]
+                r = 4 * x - p
+                n = p * x
+                hit = (n + d) % r == 0
+                keys.append(i[hit] << 45 | d[hit])
+                hit = (d <= x) & ((n + p * d) % r == 0)
+                keys.append(i[hit] << 45 | p[hit] * d[hit])
+        key = np.concatenate(keys)
+        key.sort()  # (column, D) order
+        x, d = cx[key >> 45], key & ((1 << 45) - 1)
+        lo = 0
+        for p, hi in zip(lp.tolist(), key.searchsorted(cols << 45).tolist()):
+            for x_i, d_i in zip(x[lo:hi].tolist(), d[lo:hi].tolist()):
+                if p in done:
+                    break
+                yield p, x_i, d_i
+            lo = hi
+        if last:
+            yield from zip(*(np.concatenate(h).tolist() for h in zip(*walk_hits)))
+            return
+        live = live[nxt[live] <= end[live]]
+        width *= 2
+
+
+def _e_walks(ps):
+    """The e-type walks of the primes ps (int64), as int64 arrays
+    (p, m, band_to, u, most), one entry per walk (p, m).
+
+    They find the divisors D = d > x of x**2 that give solutions in the
+    columns x > band_to, where x <= 8r with r = 4x - p.  There
+    d = x**2/e with e < x and 4e = -1 (mod r).  Then 4e = m*r - 1 with
+    m = -p (mod 4), so e = m*x - u with u = (m*p + 1)/4; e is coprime to m
+    (4u - m*p = 1), hence e | x**2 iff e | u**2, and the divisors e of
+    u**2 give x = (u + e)/m (_e_walk_hits).  e < x means (m - 1)e < u, so
+    only the m with (m - 1)*lo4 < m*p + 1, lo4 = 4(band_to + 1), occur:
+    m <= 31 for every p.  `most` is the largest e allowed: (u - 1)//(m - 1)
+    for m > 1, which also keeps x < u/(m - 1) <= 3p/4 (below p/2 from
+    m = 3 on), and floor(3p/4) - u for m = 1.
+    """
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
+    band = (8 * ps - 1) // 31  # _edges(p)[1]
+    lo4 = 4 * band + 4
+    m = -ps[:, None] % 4 + np.arange(0, 32, 4)
+    i, k = np.nonzero(m <= (lo4 // (lo4 - ps))[:, None])
+    p, m = ps[i], m[i, k]
+    u = (m * p + 1) // 4
+    most = np.where(m > 1, (u - 1) // np.maximum(m - 1, 1), 3 * p // 4 - u)
+    return p, m, band[i], u, most
+
+
+def _e_walk_hits(walks, w, e):
+    """(p, x, D) int64 arrays for the divisors e <= most of u**2 of the
+    e-type walks w (indices into _e_walks' arrays): x = (u + e)/m must be
+    whole and above band_to, and y >= x needs D = x**2/e >= 2x(2x - p).
+    int64 is exact: at FAST_LIMIT, u <= (31p + 1)/4 <= 7.75 * 10**7, so
+    u + e <= u + u**2 < 6.1 * 10**15, and x <= 3p/4 gives x**2 < 5.7 * 10**13.
+    """
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
+    p, m, band, u, _most = walks
+    x, rest = np.divmod(u[w] + e, m[w])
+    keep = np.flatnonzero((rest == 0) & (x > band[w]))
+    w, x, e = w[keep], x[keep], e[keep]
+    d = x * x // e
+    keep = d >= 2 * x * (2 * x - p[w])
+    return p[w[keep]], x[keep], d[keep]
+
+
+def _d0_walk_hits(ps):
+    """(p, x, D = p*d0) int64 arrays for the d0-type solutions of the primes
+    ps (int64) in their columns x > band_to, where x <= 8r with r = 4x - p.
+
+    There x <= p/2 and d0 = s*r - x with s <= 2x/r <= 16, so
+    d0 = (4s - 1)x - s*p, and since r is coprime to x, d0 | x**2 iff
+    d0 | s**2.  The divisors d0 of s**2 (_D0_WALKS) give
+    x = (s*p + d0)/(4s - 1), which must be whole, above band_to and at most
+    p/2, with d0 <= x.  For s > 8, x > band_to leaves no d0 once p > 3499.
+    The (p, s, d0) are tested as a matrix of primes by the walks, at most
+    _CELL_BLOCK cells at a time.
+    """
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
+    s, d0 = np.frombuffer(_D0_WALKS, dtype=np.int64).reshape(-1, 2).T
     hits = []
-    for d in _square_divisors(x):
-        if (n + d) % r == 0:
-            hits.append(d)
-        if d <= x and (n + p * d) % r == 0:
-            hits.append(p * d)
-    return sorted(hits)
+    rows = max(1, _CELL_BLOCK // s.size)
+    for a in range(0, ps.size, rows):
+        p = ps[a : a + rows, None]
+        x, rest = np.divmod(s * p + d0, 4 * s - 1)
+        i, j = np.nonzero((rest == 0) & (d0 <= x) & (31 * x >= 8 * p) & (2 * x <= p))
+        hits.append((p[i, 0], x[i, j], p[i, 0] * d0[j]))
+    return tuple(map(np.concatenate, zip(*hits)))
 
 
 def _progression_hits(segments: Sequence[tuple[int, int, int, int]]) -> list[tuple[int, int, int]]:
@@ -296,56 +536,6 @@ def _progression_hits(segments: Sequence[tuple[int, int, int, int]]) -> list[tup
     pk = 4 * ck - step[k]  # progression k steps by its column's r = 4x - p
     d = np.where(k < n, v, np.where(k < n + nb, square[k] // v, pk * v))
     return list(zip(pk.tolist(), ck.tolist(), d.tolist()))
-
-
-def _walked_hits(p: int, band_to: int) -> list[tuple[int, int]]:
-    """(x, D) for the divisors D = d > x of x**2 and D = p*d0 that give
-    solutions in the columns x > band_to, where x <= 8r with r = 4x - p.
-
-    e-type: d = x**2/e with e < x and 4e = -1 (mod r).  Then 4e = m*r - 1
-    with m = -p (mod 4), so e = m*x - u with u = (m*p + 1)/4; e is coprime
-    to m (4u - m*p = 1), hence e | x**2 iff e | u**2.  e < x needs
-    4(m - 1)x < 4u, so only the few m allowed at x = band_to + 1 occur
-    (m <= 31 for every p; only m = 1 once x > p/2).  Walking the divisors
-    e of u**2 gives x = (u + e)/m; y >= x still needs d >= 2x(2x - p).
-    Before the division the walk drops every e that cannot meet the
-    column's bounds: for x = (u + e)/m, x > band_to iff e > m*band_to - u,
-    x <= floor(3p/4) iff e <= m*floor(3p/4) - u, and e < x iff me < u + e,
-    that is (m - 1)e < u, which holds for every e when m = 1 and reads
-    e <= (u - 1)//(m - 1) otherwise.
-
-    d0-type (x <= p/2): d0 = s*r - x with s <= 2x/r <= 16, so
-    d0 = (4s - 1)x - s*p, and since r is coprime to x, d0 | x**2 iff
-    d0 | s**2.  Walking the divisors d0 of s**2 gives x = (s*p + d0)/(4s - 1).
-    Again the bounds come first: x > band_to iff d0 > (4s - 1)band_to - s*p,
-    x <= floor(p/2) iff d0 <= (4s - 1)floor(p/2) - s*p, and d0 <= x iff
-    (4s - 2)d0 <= s*p.  For s > 8 the first bound grows like (s - 8)p/31
-    and leaves no divisor of s**2 above it once p > 3499.
-    """
-    hits = []
-    lo4 = 4 * (band_to + 1)
-    for m in range(-p % 4, lo4 // (lo4 - p) + 1, 4):  # (m - 1)*lo4 < m*p + 1
-        u = (m * p + 1) // 4
-        e_lo = m * band_to - u
-        e_hi = m * (3 * p // 4) - u
-        if m > 1:
-            e_hi = min(e_hi, (u - 1) // (m - 1))
-        for e in _square_divisors(u):
-            if e_lo < e <= e_hi:
-                x, rest = divmod(u + e, m)
-                if not rest:
-                    d = x * x // e
-                    if d >= 2 * x * (2 * x - p):
-                        hits.append((x, d))
-    for s, divisors in _D0_WALKS:
-        d0_lo = (4 * s - 1) * band_to - s * p
-        d0_hi = min((4 * s - 1) * (p // 2) - s * p, s * p // (4 * s - 2))
-        for d0 in divisors:
-            if d0_lo < d0 <= d0_hi:
-                x, rest = divmod(s * p + d0, 4 * s - 1)
-                if not rest:
-                    hits.append((x, p * d0))
-    return hits
 
 
 def _row(p: int, x: int, d: int) -> tuple[int, int, int]:

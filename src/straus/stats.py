@@ -10,11 +10,16 @@ bucketing cannot place at all and stays empty by construction.
 A range's summary is a map over blocks of its primes, cut by
 parallel.blocks with each prime weighed by p.  A block's rows come from
 enumeration._block_hits, the enumerator's one driver, which enumerate_fast
-reads one prime at a time: it runs each prime's listed columns and walks on
-their own, and the progression columns of all the block's primes in numpy
-calls that span primes.  Each row is checked (enumeration._row) and tallied
-in one flat loop, unsorted, since a bucket count does not depend on the
-order of the rows.  A range costs about the sum of its primes' costs.
+reads one prime at a time.  All of it runs over the whole block in numpy:
+the listed columns x-major, in rounds that factor each distinct x once and
+test every (prime, divisor) pair of the round in int64; with the last
+round, the divisor walks of every prime; then the progression columns of
+all the block's primes, in calls that span primes.  Every value stays
+exact in int64 up to enumeration.FAST_LIMIT (x**2 < 6.3 * 10**12 in the
+listed columns, u**2 < 6.1 * 10**15 in the walks).  Each row is checked
+(enumeration._row) and tallied in one flat loop, unsorted, since a bucket
+count does not depend on the order of the rows.  A range costs about the
+sum of its primes' costs.
 """
 
 from __future__ import annotations
@@ -39,11 +44,11 @@ def _work(lo: int, hi: int) -> float:
     return (hi * hi - lo * lo) / (2 * log(hi))
 
 
-# A range within FAST_LIMIT can still run for hours: [2, 10**5] takes 24 s
-# and [2, 200000] 1.8 min on one worker (2-vCPU box), so [2, 10**6] would
-# take about 40 min.  Ranges costing more than [2, 200000] are refused; a
-# narrow range at the top still runs: [9999900, 10**7], 9 primes, takes
-# 4-7 s on one worker.
+# A range within FAST_LIMIT can still run for long: [2, 10**5] takes 11-14 s
+# and [2, 200000] 45 s on one worker (fresh process, 2-vCPU box), so
+# [2, 10**6] would take about 17 min.  Ranges costing more than [2, 200000]
+# are refused; a narrow range at the top still runs: [9999900, 10**7],
+# 9 primes, takes 2.3-2.4 s on one worker.
 _WORK_BOUND = _work(2, 200_000)
 
 
@@ -108,7 +113,7 @@ def range_summary(
     if work > _WORK_BOUND:
         raise ValueError(
             f"range [{r.lo}, {r.hi}] costs about {work / _WORK_BOUND:.1f}x "
-            "the stats work bound, the cost of [2, 200000] (about 2 min on one "
+            "the stats work bound, the cost of [2, 200000] (about 45 s on one "
             "worker); split it into narrower ranges"
         )
     primes = primes_in(r)

@@ -33,7 +33,9 @@ conj3-pattern enumerate it (enumeration._solution_rows, whose rows arrive
 checked).  An unstored lcm hit has its identity checked (require_solution).
 Only a stored or printed witness becomes a WitnessReport, whose Triple
 checks the identity again.  A stored conj3-pattern witness is the first
-lcm-patterned solution in (x, y) order, so that path always enumerates.
+lcm-patterned solution in (x, y) order: that path reads a block's listed
+columns in shared rounds (_pattern_ys) and enumerates only a prime without
+such a row there.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from .core import Triple, offset_x, require_solution
-from .enumeration import _CELL_BLOCK, _solution_rows
+from .enumeration import _CELL_BLOCK, _listed_rounds, _row, _solution_rows
 from .parallel import blocks, pmap
 from .sieve import PrimeRange, primes_in, require_prime
 from .sink import write_to
@@ -62,9 +64,10 @@ CLAIMS = ("conj1", "conj2", "conj3-pattern", "conj5-pattern")
 # fastest of eight runs; the box's pace varied up to threefold): conj1
 # 1.2 s, conj2 1.2 s, conj5-pattern 2.2 s (5.3 s with witnesses).
 # conj3-pattern would take about 3.8 s to 10^7 without witnesses (in one
-# process), but --witnesses enumerates every prime (0.11-0.15 ms each from
-# 10^6 to 10^7, and 8.5x the primes below 10^7), so its ceiling stays 10^6
-# (4.7 s with witnesses).
+# process), but --witnesses reads every prime's listed columns (0.03 ms a
+# prime in blocks from 10^6 to 10^7, best of three, and 8.5x the primes below
+# 10^7, so about 20 s), so its ceiling stays 10^6 (2.4-2.9 s with witnesses
+# on one worker, four fresh-process runs).
 CLAIM_CEILINGS = {
     "conj1": 10_000_000,
     "conj2": 10_000_000,
@@ -411,6 +414,25 @@ def _pattern_y(p: int) -> tuple[int, int, int, int] | None:
     return None
 
 
+def _pattern_ys(primes: Sequence[int]) -> list[tuple[int, int, int, int] | None]:
+    """[_pattern_y(p) for p in primes], the block's listed columns read
+    together: enumeration._listed_rounds gives every prime its next columns
+    in shared rounds, each prime's rows in (x, y) order, and a prime leaves
+    the rounds at its first lcm-patterned row.  A prime with no such row in
+    its listed columns (106 of the primes below 10^6) is enumerated by
+    _pattern_y.
+    """
+    found: dict[int, tuple[int, int, int, int]] = {}
+    scans = dict.fromkeys(primes, 0)
+    for p, x, d in _listed_rounds(primes, found):
+        _x, y, _z = _row(p, x, d)
+        scans[p] += 1
+        hit = _cell(p, y, True)
+        if hit is not None and hit[0] == x:
+            found[p] = y, x, hit[1], scans[p]
+    return [found[p] if p in found else _pattern_y(p) for p in primes]
+
+
 def _lcm_holds(p: int, hit: tuple[int, int, int, int] | None, conj3: bool) -> bool:
     """Does conj5-pattern (conj3-pattern if conj3) hold at p, given the
     prime's checked conj5 witness `hit` = (x, y, D, scans)?
@@ -439,7 +461,7 @@ def _check_block(claim: str, store: bool, primes: Sequence[int]
     tests them again.  conj1 and conj2 decide from the type I(a) cells, the
     other claims from the conj5 witnesses (_hits).  A stored witness is the
     conj5 hit, or for conj3-pattern the first lcm-patterned solution in
-    (x, y) order (_pattern_y); its Triple and WitnessReport check it.
+    (x, y) order (_pattern_ys); its Triple and WitnessReport check it.
     """
     if claim == "conj1":
         return [p for p, hit in zip(primes, _hits(primes, False)) if hit is None], []
@@ -450,7 +472,7 @@ def _check_block(claim: str, store: bool, primes: Sequence[int]
         return [p for p, hit in zip(primes, _hits(primes, True))
                 if not _lcm_holds(p, hit, conj3)], []
     kind = "conj3-y" if conj3 else "conj5-x"
-    found = map(_pattern_y, primes) if conj3 else _hits(primes, True)
+    found = _pattern_ys(primes) if conj3 else _hits(primes, True)
     exceptions, witnesses = [], []
     for p, hit in zip(primes, found):
         if hit is None:

@@ -1,17 +1,13 @@
 import hashlib
 import io
-import os
-import subprocess
-import sys
 import time
 from collections import Counter, defaultdict
 from math import isqrt
-from pathlib import Path
 
+import numpy as np
 import pytest
 from range_kernel import iter_range_solutions
 
-import straus
 from straus import core, enumeration
 from straus.core import Triple, check_identity, next_boundary
 from straus.enumeration import (
@@ -116,20 +112,31 @@ class TestFast:
         monkeypatch.setattr(enumeration, "_CELL_BLOCK", 7)
         assert [list(_solution_rows(p)) for p in primes] == whole
 
-    def test_column_pass_loads_numpy_only_when_reached(self):
-        # 99991's first row lies in its listed columns, before the numpy pass
-        code = ("import sys\n"
-                "from straus.enumeration import _solution_rows\n"
-                "rows = _solution_rows(99991)\n"
-                "next(rows)\n"
-                "print('numpy' in sys.modules)\n"
-                "list(rows)\n"
-                "print('numpy' in sys.modules)\n")
-        src = Path(straus.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(src))
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.split() == ["False", "True"]
+    def test_rounds_in_parts_yield_the_same_hits(self, monkeypatch):
+        # a list of more than _ROUND_PRIMES primes goes through the rounds in
+        # parts, each with its walks
+        primes = primes_in(PrimeRange(2, 3000))
+        whole = sorted(enumeration._block_hits(primes))
+        monkeypatch.setattr(enumeration, "_ROUND_PRIMES", 7)
+        assert sorted(enumeration._block_hits(primes)) == whole
+
+    def test_rounds_of_a_lone_prime_start_at_the_floor(self, monkeypatch):
+        # one prime below 2 * 10**5 (at most 196 listed columns) takes one or
+        # two rounds, of at least _ROUND_FLOOR columns
+        rounds = []
+        factor = enumeration._square_divisors
+
+        def spy(ns, most=None):
+            rounds.append(len(ns))
+            return factor(ns, most)
+
+        monkeypatch.setattr(enumeration, "_square_divisors", spy)
+        for p, n_rounds in [(14009, 1), (120011, 1), (199999, 2)]:
+            rounds.clear()
+            listed = (64 * p - 1) // 255 - p // 4
+            assert len(list(enumeration._listed_rounds([p]))) > 0
+            assert rounds[0] == min(listed, enumeration._ROUND_FLOOR), (p, rounds)
+            assert len(rounds) == n_rounds and sum(rounds) == listed, (p, rounds)
 
 
 class TestProgressions:
@@ -178,7 +185,9 @@ class TestProgressions:
         (99689, 25740, 25740**2 // 25350, (25740, 784476, 77018724510)),
     ])
     def test_walks_reach_their_boundary_rows(self, p, x, d, row):
-        assert (x, d) in enumeration._walked_hits(p, (8 * p - 1) // 31)
+        # past band_to only the walks yield hits: the listed columns end at 64r
+        assert x > (8 * p - 1) // 31
+        assert (p, x, d) in set(enumeration._listed_rounds([p], walks=True))
         assert row in enumerate_fast(p).as_tuples()
 
     # SHA-256 of repr(rows), frozen from an enumerator that listed the divisors
@@ -207,10 +216,15 @@ class TestProgressions:
         # 1601 * 1607 has two prime factors past 1601, 2509801 is the last
         # listed column of 9999991 and (31 * 9999991 + 1) // 4 its largest
         # walked u; 8803**2 is the largest square of a trial prime.
-        for x in [*range(1, 20_001), 1601**2, 1601 * 1607, 2_509_801,
-                  (31 * 9999991 + 1) // 4, 8803**2, enumeration._FACTOR_LIMIT]:
+        xs = [*range(1, 20_001), 1601**2, 1601 * 1607, 2_509_801,
+              (31 * 9999991 + 1) // 4, 8803**2, enumeration._FACTOR_LIMIT]
+        got = defaultdict(list)
+        for owner, divisor in _square_divisors(np.array(xs)):
+            for i, d in zip(owner.tolist(), divisor.tolist()):
+                got[xs[i]].append(d)
+        for x in xs:
             dx = divisors(x)
-            assert sorted(_square_divisors(x)) == sorted({a * b for a in dx for b in dx}), x
+            assert sorted(got[x]) == sorted({a * b for a in dx for b in dx}), x
 
     def test_factoring_bound_covers_both_enumerators(self):
         # enumerate_fast walks u = (m*p + 1)/4 with m <= 31 and lists
@@ -222,7 +236,18 @@ class TestProgressions:
                           if is_prime(q))
         assert enumeration._FACTOR_LIMIT < next_prime**2
         with pytest.raises(ValueError, match="factoring bound 77500000"):
-            _square_divisors(enumeration._FACTOR_LIMIT + 1)
+            next(_square_divisors(np.array([enumeration._FACTOR_LIMIT + 1])))
+
+    def test_int64_bounds_hold_at_the_ceiling(self):
+        # the largest listed column x and walked u at FAST_LIMIT: the listed
+        # pass forms x**2 >= d and px + p*d0 <= 2px, the walks u + u**2, and
+        # a listed hit's sort key is its column (below 2**18) above D <= px
+        x = (64 * FAST_LIMIT - 1) // 255
+        u = (31 * FAST_LIMIT + 1) // 4
+        assert x**2 < 6.3e12 and 2 * FAST_LIMIT * x < 2**63
+        assert FAST_LIMIT * x < 2**45 and (2**18 - 1) << 45 | (2**45 - 1) < 2**63
+        assert u + u**2 < 6.1e15 < 2**63
+        assert enumeration._ROUND_PRIMES <= 2**17 and enumeration._CELL_BLOCK <= 2**17
 
     def test_enumeration_leaves_module_state_untouched(self):
         def state():

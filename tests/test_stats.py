@@ -122,7 +122,9 @@ class TestRangeKernel:
             type_ii[t.p] += c.is_type_ii
         return [(p, buckets[p], type_ii[p]) for p in primes]
 
-    @pytest.mark.parametrize("lo, hi", [(2, 3000), (4001, 4099)])
+    # [60000, 60030] holds 60013, 60017 and 60029, whose listed columns hold x
+    # with two prime factors above 31
+    @pytest.mark.parametrize("lo, hi", [(2, 3000), (4001, 4099), (60_000, 60_030)])
     def test_block_tally_equals_classify_with_small_kernel_calls(self, lo, hi, monkeypatch):
         # at one worker the range is one block; kernel calls of 7 columns and
         # numpy tests of 7 cells cut through primes, progressions and blocks.
@@ -153,7 +155,14 @@ class TestRangeKernel:
         ]
 
     def test_every_tallied_row_is_checked(self, monkeypatch):
-        r = PrimeRange(2, 2000)
+        self._every_tallied_row_is_checked(PrimeRange(2, 2000), monkeypatch)
+
+    def test_every_tallied_row_past_the_small_primes_is_checked(self, monkeypatch):
+        # rows of listed rounds with many columns, walks and progressions
+        self._every_tallied_row_is_checked(PrimeRange(60_000, 60_030), monkeypatch)
+
+    @staticmethod
+    def _every_tallied_row_is_checked(r, monkeypatch):
         identity, checked = core.check_identity, []
         monkeypatch.setattr(core, "check_identity",
                             lambda *row: checked.append(row) or identity(*row))

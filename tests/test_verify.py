@@ -550,6 +550,17 @@ class TestRuleCertificate:
         expected = [_pattern_y_report(p) for p in primes_in(PrimeRange(2, 3000))]
         assert ledger.witnesses == tuple(w for w in expected if w is not None)
 
+    @pytest.mark.parametrize("lo, hi", [(2, 3000), (999_000, 10**6)])
+    def test_block_stored_witnesses_equal_the_enumerated_first(self, lo, hi):
+        # the stored conj3-pattern path reads a block's listed columns in
+        # shared rounds; every report, early_exit_scans included, is the one
+        # _pattern_y finds enumerating the prime alone
+        primes = primes_in(PrimeRange(lo, hi))
+        expected = {p: _pattern_y_report(p) for p in primes}
+        exceptions, witnesses = verify._check_block("conj3-pattern", True, primes)
+        assert exceptions == [p for p in primes if expected[p] is None]
+        assert witnesses == [w for w in expected.values() if w is not None]
+
     def test_certificate_reaches_past_the_enumeration_envelope(self):
         # the certificate and the enumeration agree where p*x*y*z needs 152 bits
         report = _pattern_y_report(999983)
