@@ -118,25 +118,25 @@ def _square_divisors(ns, most=None) -> Iterator[tuple]:
         powers **= np.arange(powers.size) - slot.repeat(radix_flat)
         spawn_end = slot.reshape(radix.shape) + radix
         bound = None if most is None else most[a : a + rows]
-        # od holds the owners and the divisors so far; factor k of n[i] turns
-        # each divisor of i into radix[k, i] of them
-        od = np.stack([np.arange(n.size), np.ones_like(n)])
+        # factor k of n[i] turns each divisor of n[i]**2 so far into radix[k, i]
+        owner, divisor = np.arange(n.size), np.ones_like(n)
         for rk, ek in zip(radix, spawn_end):
-            r = rk[od[0]]
+            r = rk[owner]
             ends = r.cumsum()
-            c = (ek[od[0]] - ends).repeat(r)
+            c = (ek[owner] - ends).repeat(r)
             c += np.arange(c.size)
-            od = od.repeat(r, axis=1)
-            od[1] *= powers[c]
+            owner = owner.repeat(r)
+            divisor = divisor.repeat(r) * powers[c]
             if bound is not None:
-                od = od[:, od[1] <= bound[od[0]]]
-        yield od[0] + a, od[1]
+                keep = divisor <= bound[owner]
+                owner, divisor = owner[keep], divisor[keep]
+        yield owner + a, divisor
 
 
-# The d0-type walks: each s <= 16 with each divisor d0 of s**2, as (s, d0)
-# pairs side by side in one int64 array.
+# The d0-type walks: each s <= 16 with each divisor d0 of s**2, as rows
+# (s, d0, 4s - 1) of one int64 array.
 _D0_WALKS = array("q", (v for s in range(1, 17) for d0 in range(1, s * s + 1)
-                        if s * s % d0 == 0 for v in (s, d0)))
+                        if s * s % d0 == 0 for v in (s, d0, 4 * s - 1)))
 
 
 @dataclass(frozen=True)
@@ -303,12 +303,12 @@ def _listed_rounds(primes: Sequence[int], done: Collection[int] = (), walks: boo
     next w listed columns, w doubling from 1 but at least
     _ROUND_FLOOR // (live primes) and at most _CELL_BLOCK // (live primes).
     It factors each distinct x of the round once (_square_divisors) and
-    tests every (p, d) pair of its columns in one int64 expression, at most
-    _CELL_BLOCK pairs at a time.  Its hits come in the order of `primes`,
-    each prime's in (x, D) order, which is (x, y) order.  A prime leaves
-    the rounds after its last listed column, or once it is in `done`,
-    which the caller may fill as the hits arrive: it is read before each
-    round and before each hit.  With `walks`, the last round (a round
+    tests every (p, d) pair of its columns in one int64 expression
+    (_pair_keys).  Its hits come in the order of `primes`, each prime's in
+    (x, D) order, which is (x, y) order.  A prime leaves the rounds after
+    its last listed column, or once it is in `done`, which the caller may
+    fill as the hits arrive: it is read before each round and before each
+    hit.  With `walks`, the last round (a round
     without columns if no prime has listed columns) also factors the u of
     every prime's e-type walks (_e_walks) in the same pass, and the walk
     hits, the d0-type ones too (_d0_walk_hits), follow its own.
@@ -336,8 +336,6 @@ def _listed_rounds(primes: Sequence[int], done: Collection[int] = (), walks: boo
     live = np.flatnonzero(nxt <= end)
     width = 1
     while live.size or walks:
-        if done:
-            live = live[~np.isin(ps[live], list(done))]
         n_live = max(1, live.size)
         width = min(max(width, _ROUND_FLOOR // n_live), max(1, _CELL_BLOCK // n_live))
         lp, ln, le = ps[live], nxt[live], end[live]
@@ -352,7 +350,6 @@ def _listed_rounds(primes: Sequence[int], done: Collection[int] = (), walks: boo
         # the columns of ux[i] are by_x[at[i]:at[i + 1]]
         at = np.concatenate([xs[:1] == xs[:1], xs[1:] != xs[:-1], [True]]).nonzero()[0]
         ux, n_cols = xs[at[:-1]], at[1:] - at[:-1]
-        # each hit as one int64 sort key, its column above D <= px < 2**45
         ns, most, keys = ux, None, [cols[:0]]
         if last:
             e_walks = _e_walks(ps)
@@ -365,31 +362,11 @@ def _listed_rounds(primes: Sequence[int], done: Collection[int] = (), walks: boo
                 walk_hits.append(_e_walk_hits(e_walks, owner[cut:] - ux.size, div[cut:]))
             if not cut:
                 continue
-            owner, div = owner[:cut], div[:cut]
-            a, b = owner[0], owner[-1] + 1  # this chunk's x, ux[a:b], and their columns
-            c = by_x[at[a] : at[b]]
-            n_div = np.bincount(owner - a)
-            per = n_div.repeat(n_cols[a:b])
-            # column i of the chunk has pairs edges[i] <= g < edges[i + 1], pair g
-            # testing div[g + shift[i]]
-            edges = np.concatenate([[0], per.cumsum()])
-            shift = (n_div.cumsum() - n_div).repeat(n_cols[a:b]) - edges[:-1]
-            for g0 in range(0, int(edges[-1]), _CELL_BLOCK):
-                g1 = min(g0 + _CELL_BLOCK, int(edges[-1]))
-                i0, i1 = edges.searchsorted([g0, g1 - 1], side="right") - 1
-                span = edges[i0 : i1 + 2]
-                i = np.arange(i0, i1 + 1).repeat(np.minimum(span[1:], g1) - np.maximum(span[:-1], g0))
-                d = div[np.arange(g0, g1) + shift[i]]
-                i = c[i]
-                x, p = cx[i], cp[i]
-                r = 4 * x - p
-                n = p * x
-                hit = (n + d) % r == 0
-                keys.append(i[hit] << 45 | d[hit])
-                hit = (d <= x) & ((n + p * d) % r == 0)
-                keys.append(i[hit] << 45 | p[hit] * d[hit])
+            a, b = owner[0], owner[cut - 1] + 1  # this chunk's x, ux[a:b]
+            keys += _pair_keys(cx, cp, by_x[at[a] : at[b]], n_cols[a:b],
+                               owner[:cut] - a, div[:cut])
         key = np.concatenate(keys)
-        key.sort()  # (column, D) order
+        key.sort()  # (column, D) order, as column << 45 | D
         x, d = cx[key >> 45], key & ((1 << 45) - 1)
         lo = 0
         for p, hi in zip(lp.tolist(), key.searchsorted(cols << 45).tolist()):
@@ -402,7 +379,42 @@ def _listed_rounds(primes: Sequence[int], done: Collection[int] = (), walks: boo
             yield from zip(*(np.concatenate(h).tolist() for h in zip(*walk_hits)))
             return
         live = live[nxt[live] <= end[live]]
+        if done:
+            live = live[~np.isin(ps[live], list(done))]
         width *= 2
+
+
+def _pair_keys(cx, cp, cols, n_cols, owner, div) -> list:
+    """Sort keys column << 45 | D for the hits among the pairs of one
+    factoring chunk of a listed round: `cols` are the chunk's columns
+    (indices into the round's cx and cp) grouped by x, n_cols[i] of them
+    for x number i of the chunk, whose divisors of x**2 are div[owner == i].
+    Every column meets every divisor of its x**2, at most _CELL_BLOCK pairs
+    at a time, and a pair hits as d with r | px + d, and as p*d with d <= x
+    and r | px + p*d (r = 4x - p)."""
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
+    n_div = np.bincount(owner)
+    per = n_div.repeat(n_cols)
+    # column i has pairs edges[i] <= g < edges[i + 1], pair g testing div[g + shift[i]]
+    edges = np.concatenate([[0], per.cumsum()])
+    shift = (n_div.cumsum() - n_div).repeat(n_cols) - edges[:-1]
+    keys = []
+    for g0 in range(0, int(edges[-1]), _CELL_BLOCK):
+        g1 = min(g0 + _CELL_BLOCK, int(edges[-1]))
+        i0, i1 = edges.searchsorted([g0, g1 - 1], side="right") - 1
+        span = edges[i0 : i1 + 2]
+        i = np.arange(i0, i1 + 1).repeat(np.minimum(span[1:], g1) - np.maximum(span[:-1], g0))
+        d = div[np.arange(g0, g1) + shift[i]]
+        i = cols[i]
+        x, p = cx[i], cp[i]
+        r = 4 * x - p
+        n = p * x
+        hit = (n + d) % r == 0
+        keys.append(i[hit] << 45 | d[hit])
+        hit = (d <= x) & ((n + p * d) % r == 0)
+        keys.append(i[hit] << 45 | p[hit] * d[hit])
+    return keys
 
 
 def _e_walks(ps):
@@ -418,7 +430,7 @@ def _e_walks(ps):
     only the m with (m - 1)*lo4 < m*p + 1, lo4 = 4(band_to + 1), occur:
     m <= 31 for every p.  `most` is the largest e allowed: (u - 1)//(m - 1)
     for m > 1, which also keeps x < u/(m - 1) <= 3p/4 (below p/2 from
-    m = 3 on), and floor(3p/4) - u for m = 1.
+    m = 3 on), and floor(3p/4) - u = 2u - 1 for m = 1 (x <= 3p/4).
     """
     import numpy as np  # here, not at module level: import straus stays numpy-free
 
@@ -428,7 +440,8 @@ def _e_walks(ps):
     i, k = np.nonzero(m <= (lo4 // (lo4 - ps))[:, None])
     p, m = ps[i], m[i, k]
     u = (m * p + 1) // 4
-    most = np.where(m > 1, (u - 1) // np.maximum(m - 1, 1), 3 * p // 4 - u)
+    # for m = 1, p = 3 (mod 4) and floor(3p/4) - u = 2u - 1
+    most = (u - 1 + u * (m == 1)) // np.maximum(m - 1, 1)
     return p, m, band[i], u, most
 
 
@@ -464,13 +477,13 @@ def _d0_walk_hits(ps):
     """
     import numpy as np  # here, not at module level: import straus stays numpy-free
 
-    s, d0 = np.frombuffer(_D0_WALKS, dtype=np.int64).reshape(-1, 2).T
+    s, d0, q = np.frombuffer(_D0_WALKS, dtype=np.int64).reshape(-1, 3).T
     hits = []
     rows = max(1, _CELL_BLOCK // s.size)
     for a in range(0, ps.size, rows):
         p = ps[a : a + rows, None]
-        x, rest = np.divmod(s * p + d0, 4 * s - 1)
-        i, j = np.nonzero((rest == 0) & (d0 <= x) & (31 * x >= 8 * p) & (2 * x <= p))
+        x, rest = np.divmod(s * p + d0, q)
+        i, j = ((rest == 0) & (d0 <= x) & (31 * x >= 8 * p) & (2 * x <= p)).nonzero()
         hits.append((p[i, 0], x[i, j], p[i, 0] * d0[j]))
     return tuple(map(np.concatenate, zip(*hits)))
 
