@@ -308,10 +308,10 @@ def _listed_rounds(primes: Sequence[int], done: Collection[int] = (), walks: boo
     (x, D) order, which is (x, y) order.  A prime leaves the rounds after
     its last listed column, or once it is in `done`, which the caller may
     fill as the hits arrive: it is read before each round and before each
-    hit.  With `walks`, the last round (a round
-    without columns if no prime has listed columns) also factors the u of
-    every prime's e-type walks (_e_walks) in the same pass, and the walk
-    hits, the d0-type ones too (_d0_walk_hits), follow its own.
+    hit.  With `walks`, the last round (a round without columns if no prime
+    has listed columns) also factors the u of every prime's e-type walks
+    (_e_walks) in the same pass, and the walk hits, the d0-type ones too
+    (_d0_walk_hits), follow its own.
 
     int64 is exact: at FAST_LIMIT, x <= 64p/255 < 2.51 * 10**6, so
     d <= x**2 < 6.3 * 10**12, px + d < 3.2 * 10**13 and
@@ -440,8 +440,7 @@ def _e_walks(ps):
     i, k = np.nonzero(m <= (lo4 // (lo4 - ps))[:, None])
     p, m = ps[i], m[i, k]
     u = (m * p + 1) // 4
-    # for m = 1, p = 3 (mod 4) and floor(3p/4) - u = 2u - 1
-    most = (u - 1 + u * (m == 1)) // np.maximum(m - 1, 1)
+    most = (u - 1 + u * (m == 1)) // np.maximum(m - 1, 1)  # 2u - 1 for m = 1
     return p, m, band[i], u, most
 
 
