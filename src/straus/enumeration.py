@@ -353,8 +353,8 @@ def _listed_rounds(primes: Sequence[int], done: Collection[int] = (), walks: boo
         ns, most, keys = ux, None, [cols[:0]]
         if last:
             e_walks = _e_walks(ps)
-            ns = np.concatenate([ux, e_walks[3]])
-            most = np.concatenate([ux * ux, e_walks[4]])
+            *_, u, u_most = e_walks
+            ns, most = np.concatenate([ux, u]), np.concatenate([ux * ux, u_most])
             walk_hits = [_d0_walk_hits(ps)]
         for owner, div in _square_divisors(ns, most):
             cut = owner.searchsorted(ux.size)  # owners past ux are walks
