@@ -6,9 +6,9 @@ divisor-pair problem, lists divisors only in the first columns and finds the
 other pairs as residue classes mod 4x - p or by walking the divisors of a few
 small numbers, all in numpy.  One driver, _block_hits, walks the columns of
 a block of primes: stats tallies its hits unordered, and _solution_rows,
-behind enumerate_fast, solve and the claim checks, reads one prime's hits in
-(x, y) order.  enumerate_fast must reproduce the oracle, which exists so it can
-be checked against it wholesale.
+behind enumerate_fast, solve and the claim checks, sorts one prime's hits
+into (x, y) order.  enumerate_fast must reproduce the oracle, which exists so
+it can be checked against it wholesale.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from .sink import write_to
 ORACLE_LIMIT = 10_000
 # `straus solve 9999991` takes 0.67-0.69 s on one core at 41 MiB peak RSS
 # (2-vCPU box, Python 3.11, numpy 2.4); the time grows like p, and the memory
-# stays flat because every numpy step is bounded: the listed rounds factor and
-# test at most _CELL_BLOCK numbers or pairs at a time, and the progression pass
-# runs in blocks of _COLUMN_BLOCK columns and _CELL_BLOCK candidates.
+# stays flat because every numpy step is bounded: the listed rounds and the
+# walks factor and test at most _CELL_BLOCK numbers or pairs at a time, and the
+# progression pass runs in blocks of _COLUMN_BLOCK columns and _CELL_BLOCK
+# candidates.
 FAST_LIMIT = 10_000_000
 
 # The progression pass spans 2.4 M columns at FAST_LIMIT and lays up to 3 * 64
@@ -206,30 +207,28 @@ def iter_solutions_fast(p: int) -> Iterator[Triple]:
         yield Triple(p, x, y, z)
 
 
-def _edges(p: int) -> tuple[int, int]:
-    """(listed_to, band_to) for p: the last x with x > 64(4x - p), the last
-    listed column, and the last x with x > 8(4x - p), the end of the band."""
+def _edges(p):
+    """(listed_to, band_to) for p, an int or an int64 array of primes: the
+    last x with x > 64(4x - p), the last listed column, and the last x with
+    x > 8(4x - p), the end of the band."""
     return (64 * p - 1) // 255, (8 * p - 1) // 31
+
+
+def _int64_primes(primes: Sequence[int]):
+    """The primes as an int64 array; ValueError for a prime past
+    FAST_LIMIT, where the enumerator's int64 bounds end."""
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
+    if primes and max(primes) > FAST_LIMIT:
+        raise ValueError(f"p = {max(primes)} exceeds the enumeration ceiling {FAST_LIMIT}")
+    return np.array(primes, dtype=np.int64)
 
 
 def _solution_rows(p: int) -> Iterator[tuple[int, int, int]]:
     """The solutions for the prime p as (x, y, z) ints in (x, y) order: the
-    hits of _block_hits([p]), each turned into its row and checked by _row.
-
-    The listed columns' hits arrive round by round in (x, D) order, which
-    is (x, y) order, and pass on as they come, so a caller that stops at a
-    row there pays only for the rounds up to it.  The hits past the listed
-    columns come unordered: at the first of them the rest are collected and
-    sorted by (x, D).
-    """
-    hits = _block_hits([p])
-    listed_to = _edges(p)[0]
-    for _p, x, d in hits:
-        if x > listed_to:  # the rest, sorted; the loop below reads them
-            hits = sorted([(p, x, d), *hits])
-            break
-        yield _row(p, x, d)
-    for _p, x, d in hits:
+    hits of _block_hits([p]) sorted by (x, D), which is (x, y) order, each
+    turned into its row and checked by _row."""
+    for _p, x, d in sorted(_block_hits([p])):
         yield _row(p, x, d)
 
 
@@ -253,26 +252,30 @@ def _block_hits(primes: Sequence[int]) -> Iterator[tuple[int, int, int]]:
     _progression_hits tests the d-type up to p/2 (past it d < 2x(2x - p),
     so y < x) and, in the band 8r < x <= 64r, the other two types as well;
     above the band, where x <= 8r, divisor walks over small numbers find
-    those two (_e_walks, _d0_walk_hits).
+    those two (_e_walk_hits, _d0_walk_hits).
 
     The block runs in three stages, each over all its primes at once:
-    1. the listed columns, x-major, in rounds of columns whose width
-       doubles (_listed_rounds), each round's hits in (x, D) order per
-       prime, so that a caller that stops at a row there pays only for the
-       rounds up to it;
-    2. with the last round, whose factoring pass they share, the e-type and
-       d0-type walks of every prime, their hits after the round's;
+    1. the e-type walks, which factor their numbers in one
+       _square_divisors pass, then the d0-type walks;
+    2. the listed columns, x-major, in rounds of columns whose width
+       doubles (_listed_rounds);
     3. the progression columns of all the primes, to _progression_hits in
        calls of _COLUMN_BLOCK columns, so that one call may span several
        primes.
-    Past the listed columns the hits come in no particular order.  Every
-    stage computes in int64, exact up to FAST_LIMIT, where _listed_rounds
-    refuses a larger prime: a listed x <= 64p/255 has x**2 < 6.3 * 10**12
+    The hits come in no particular order.  Every stage computes in int64,
+    exact up to FAST_LIMIT, where _int64_primes refuses a larger prime
+    before any stage runs: a listed x <= 64p/255 has x**2 < 6.3 * 10**12
     and px + d < 3.2 * 10**13 (px + p*d0 <= 2px < 5.1 * 10**13), a walked
     u <= (31p + 1)/4 = 7.75 * 10**7 has u**2 < 6.1 * 10**15, and the
     progression values stay below 2**47 (each docstring has its bounds).
     """
-    yield from _listed_rounds(primes, walks=True)
+    # The walks run first: after the listed rounds they left perfbench's
+    # stats-range 12 % slower (median of 6 pairs, 2-vCPU box) through the
+    # allocator's page faults, not through their own work.
+    ps = _int64_primes(primes)
+    for p, x, d in (_e_walk_hits(ps), _d0_walk_hits(ps)):
+        yield from zip(p.tolist(), x.tolist(), d.tolist())
+    yield from _listed_rounds(primes)
     segments = []
     for p in primes:
         listed_to, band_to = _edges(p)
@@ -291,13 +294,12 @@ def _block_hits(primes: Sequence[int]) -> Iterator[tuple[int, int, int]]:
         yield from _progression_hits(call)
 
 
-def _listed_rounds(primes: Sequence[int], done: Collection[int] = (), walks: bool = False
+def _listed_rounds(primes: Sequence[int], done: Collection[int] = ()
                    ) -> Iterator[tuple[int, int, int]]:
     """(p, x, D) for the solutions in the listed columns p/4 < x <= 64r
     (r = 4x - p, so x <= p/2 and every D gives y >= x) of the primes: the
     divisors d of x**2 with r | px + d, and D = p*d0 for the divisors
-    d0 <= x of x**2 with r | px + p*d0; with `walks`, then the hits of the
-    primes' divisor walks.
+    d0 <= x of x**2 with r | px + p*d0.
 
     The columns go x-major, in rounds.  A round gives every live prime its
     next w listed columns, w doubling from 1 but at least
@@ -308,10 +310,7 @@ def _listed_rounds(primes: Sequence[int], done: Collection[int] = (), walks: boo
     (x, D) order, which is (x, y) order.  A prime leaves the rounds after
     its last listed column, or once it is in `done`, which the caller may
     fill as the hits arrive: it is read before each round and before each
-    hit.  With `walks`, the last round (a round without columns if no prime
-    has listed columns) also factors the u of every prime's e-type walks
-    (_e_walks) in the same pass, and the walk hits, the d0-type ones too
-    (_d0_walk_hits), follow its own.
+    hit.
 
     int64 is exact: at FAST_LIMIT, x <= 64p/255 < 2.51 * 10**6, so
     d <= x**2 < 6.3 * 10**12, px + d < 3.2 * 10**13 and
@@ -322,49 +321,32 @@ def _listed_rounds(primes: Sequence[int], done: Collection[int] = (), walks: boo
     """
     import numpy as np  # here, not at module level: import straus stays numpy-free
 
-    if not primes:
-        return
-    if max(primes) > FAST_LIMIT:
-        raise ValueError(f"p = {max(primes)} exceeds the enumeration ceiling {FAST_LIMIT}")
     if len(primes) > _ROUND_PRIMES:
         for a in range(0, len(primes), _ROUND_PRIMES):
-            yield from _listed_rounds(primes[a : a + _ROUND_PRIMES], done, walks)
+            yield from _listed_rounds(primes[a : a + _ROUND_PRIMES], done)
         return
-    ps = np.array(primes, dtype=np.int64)
+    ps = _int64_primes(primes)
     nxt = ps // 4 + 1  # each prime's next listed column
-    end = (64 * ps - 1) // 255  # and its last, _edges(p)[0]
+    end = _edges(ps)[0]  # and its last
     live = np.flatnonzero(nxt <= end)
     width = 1
-    while live.size or walks:
-        n_live = max(1, live.size)
-        width = min(max(width, _ROUND_FLOOR // n_live), max(1, _CELL_BLOCK // n_live))
+    while live.size:
+        width = min(max(width, _ROUND_FLOOR // live.size), max(1, _CELL_BLOCK // live.size))
         lp, ln, le = ps[live], nxt[live], end[live]
         take = np.minimum(le - ln + 1, width)
         cols = take.cumsum()
         cp = lp.repeat(take)
         cx = np.arange(take.sum()) + (ln - cols + take).repeat(take)
         nxt[live] = ln + take
-        last = walks and not (ln + take <= le).any()
         by_x = cx.argsort(kind="stable")
         xs = cx[by_x]
         # the columns of ux[i] are by_x[at[i]:at[i + 1]]
-        at = np.concatenate([xs[:1] == xs[:1], xs[1:] != xs[:-1], [True]]).nonzero()[0]
+        at = np.concatenate([[True], xs[1:] != xs[:-1], [True]]).nonzero()[0]
         ux, n_cols = xs[at[:-1]], at[1:] - at[:-1]
-        ns, most, keys = ux, None, [cols[:0]]
-        if last:
-            e_walks = _e_walks(ps)
-            *_, u, u_most = e_walks
-            ns, most = np.concatenate([ux, u]), np.concatenate([ux * ux, u_most])
-            walk_hits = [_d0_walk_hits(ps)]
-        for owner, div in _square_divisors(ns, most):
-            cut = owner.searchsorted(ux.size)  # owners past ux are walks
-            if cut < owner.size:
-                walk_hits.append(_e_walk_hits(e_walks, owner[cut:] - ux.size, div[cut:]))
-            if not cut:
-                continue
-            a, b = owner[0], owner[cut - 1] + 1  # this chunk's x, ux[a:b]
-            keys += _pair_keys(cx, cp, by_x[at[a] : at[b]], n_cols[a:b],
-                               owner[:cut] - a, div[:cut])
+        keys = []
+        for owner, div in _square_divisors(ux):
+            a, b = owner[0], owner[-1] + 1  # this chunk's x, ux[a:b]
+            keys += _pair_keys(cx, cp, by_x[at[a] : at[b]], n_cols[a:b], owner - a, div)
         key = np.concatenate(keys)
         key.sort()  # (column, D) order, as column << 45 | D
         x, d = cx[key >> 45], key & ((1 << 45) - 1)
@@ -375,9 +357,6 @@ def _listed_rounds(primes: Sequence[int], done: Collection[int] = (), walks: boo
                     break
                 yield p, x_i, d_i
             lo = hi
-        if last:
-            yield from zip(*(np.concatenate(h).tolist() for h in zip(*walk_hits)))
-            return
         live = live[nxt[live] <= end[live]]
         if done:
             live = live[~np.isin(ps[live], list(done))]
@@ -417,49 +396,41 @@ def _pair_keys(cx, cp, cols, n_cols, owner, div) -> list:
     return keys
 
 
-def _e_walks(ps):
-    """The e-type walks of the primes ps (int64), as int64 arrays
-    (p, m, band_to, u, most), one entry per walk (p, m).
+def _e_walk_hits(ps):
+    """(p, x, D = d) int64 arrays for the e-type solutions of the primes ps
+    (int64) in their columns x > band_to, where x <= 8r with r = 4x - p.
 
-    They find the divisors D = d > x of x**2 that give solutions in the
-    columns x > band_to, where x <= 8r with r = 4x - p.  There
-    d = x**2/e with e < x and 4e = -1 (mod r).  Then 4e = m*r - 1 with
-    m = -p (mod 4), so e = m*x - u with u = (m*p + 1)/4; e is coprime to m
-    (4u - m*p = 1), hence e | x**2 iff e | u**2, and the divisors e of
-    u**2 give x = (u + e)/m (_e_walk_hits).  e < x means (m - 1)e < u, so
-    only the m with (m - 1)*lo4 < m*p + 1, lo4 = 4(band_to + 1), occur:
-    m <= 31 for every p.  `most` is the largest e allowed: (u - 1)//(m - 1)
-    for m > 1, which also keeps x < u/(m - 1) <= 3p/4 (below p/2 from
-    m = 3 on), and floor(3p/4) - u = 2u - 1 for m = 1 (x <= 3p/4).
+    There d = x**2/e with e < x and 4e = -1 (mod r).  Then 4e = m*r - 1
+    with m = -p (mod 4), so e = m*x - u with u = (m*p + 1)/4; e is coprime
+    to m (4u - m*p = 1), hence e | x**2 iff e | u**2, and the divisors e of
+    u**2 give x = (u + e)/m, which must be whole and above band_to; y >= x
+    needs d >= 2x(2x - p).  e < x means (m - 1)e < u, so only the m with
+    (m - 1)*lo4 < m*p + 1, lo4 = 4(band_to + 1), occur: m <= 31 for every
+    p.  The largest e allowed is (u - 1)//(m - 1) for m > 1, which also
+    keeps x < u/(m - 1) <= 3p/4 (below p/2 from m = 3 on), and
+    floor(3p/4) - u = 2u - 1 for m = 1 (x <= 3p/4).  The u of all the
+    walks are factored in one _square_divisors pass.  int64 is exact: at
+    FAST_LIMIT, u <= (31p + 1)/4 <= 7.75 * 10**7, so u + e <= u + u**2 <
+    6.1 * 10**15, and x <= 3p/4 gives x**2 < 5.7 * 10**13.
     """
     import numpy as np  # here, not at module level: import straus stays numpy-free
 
-    band = (8 * ps - 1) // 31  # _edges(p)[1]
+    band = _edges(ps)[1]
     lo4 = 4 * band + 4
     m = -ps[:, None] % 4 + np.arange(0, 32, 4)
     i, k = np.nonzero(m <= (lo4 // (lo4 - ps))[:, None])
-    p, m = ps[i], m[i, k]
+    p, m, band = ps[i], m[i, k], band[i]
     u = (m * p + 1) // 4
     most = (u - 1 + u * (m == 1)) // np.maximum(m - 1, 1)  # 2u - 1 for m = 1
-    return p, m, band[i], u, most
-
-
-def _e_walk_hits(walks, w, e):
-    """(p, x, D) int64 arrays for the divisors e <= most of u**2 of the
-    e-type walks w (indices into _e_walks' arrays): x = (u + e)/m must be
-    whole and above band_to, and y >= x needs D = x**2/e >= 2x(2x - p).
-    int64 is exact: at FAST_LIMIT, u <= (31p + 1)/4 <= 7.75 * 10**7, so
-    u + e <= u + u**2 < 6.1 * 10**15, and x <= 3p/4 gives x**2 < 5.7 * 10**13.
-    """
-    import numpy as np  # here, not at module level: import straus stays numpy-free
-
-    p, m, band, u, _most = walks
-    x, rest = np.divmod(u[w] + e, m[w])
-    keep = np.flatnonzero((rest == 0) & (x > band[w]))
-    w, x, e = w[keep], x[keep], e[keep]
-    d = x * x // e
-    keep = d >= 2 * x * (2 * x - p[w])
-    return p[w[keep]], x[keep], d[keep]
+    hits = [(ps[:0],) * 3]
+    for w, e in _square_divisors(u, most):
+        x, rest = np.divmod(u[w] + e, m[w])
+        keep = np.flatnonzero((rest == 0) & (x > band[w]))
+        w, x, e = w[keep], x[keep], e[keep]
+        d = x * x // e
+        keep = d >= 2 * x * (2 * x - p[w])
+        hits.append((p[w[keep]], x[keep], d[keep]))
+    return tuple(map(np.concatenate, zip(*hits)))
 
 
 def _d0_walk_hits(ps):
@@ -477,12 +448,12 @@ def _d0_walk_hits(ps):
     import numpy as np  # here, not at module level: import straus stays numpy-free
 
     s, d0, q = np.frombuffer(_D0_WALKS, dtype=np.int64).reshape(-1, 3).T
-    hits = []
+    hits = [(ps[:0],) * 3]
     rows = max(1, _CELL_BLOCK // s.size)
     for a in range(0, ps.size, rows):
         p = ps[a : a + rows, None]
         x, rest = np.divmod(s * p + d0, q)
-        i, j = ((rest == 0) & (d0 <= x) & (31 * x >= 8 * p) & (2 * x <= p)).nonzero()
+        i, j = ((rest == 0) & (d0 <= x) & (x > _edges(p)[1]) & (2 * x <= p)).nonzero()
         hits.append((p[i, 0], x[i, j], p[i, 0] * d0[j]))
     return tuple(map(np.concatenate, zip(*hits)))
 

@@ -11,11 +11,11 @@ A range's summary is a map over blocks of its primes, cut by
 parallel.blocks with each prime weighed by p.  A block's rows come from
 enumeration._block_hits, the enumerator's one driver, which enumerate_fast
 reads one prime at a time.  All of it runs over the whole block in numpy:
-the listed columns x-major, in rounds that factor each distinct x once and
-test every (prime, divisor) pair of the round in int64; with the last
-round, the divisor walks of every prime; then the progression columns of
-all the block's primes, in calls that span primes.  Every value stays
-exact in int64 up to enumeration.FAST_LIMIT (x**2 < 6.3 * 10**12 in the
+the divisor walks of every prime, in one pass; the listed columns x-major,
+in rounds that factor each distinct x once and test every (prime, divisor)
+pair of the round in int64; then the progression columns of all the
+block's primes, in calls that span primes.  Every value stays exact in
+int64 up to enumeration.FAST_LIMIT (x**2 < 6.3 * 10**12 in the
 listed columns, u**2 < 6.1 * 10**15 in the walks).  Each row is checked
 (enumeration._row) and tallied in one flat loop, unsorted, since a bucket
 count does not depend on the order of the rows.  A range costs about the

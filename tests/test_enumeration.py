@@ -114,7 +114,7 @@ class TestFast:
 
     def test_rounds_in_parts_yield_the_same_hits(self, monkeypatch):
         # a list of more than _ROUND_PRIMES primes goes through the rounds in
-        # parts, each with its walks
+        # parts
         primes = primes_in(PrimeRange(2, 3000))
         whole = sorted(enumeration._block_hits(primes))
         monkeypatch.setattr(enumeration, "_ROUND_PRIMES", 7)
@@ -137,6 +137,29 @@ class TestFast:
             assert len(list(enumeration._listed_rounds([p]))) > 0
             assert rounds[0] == min(listed, enumeration._ROUND_FLOOR), (p, rounds)
             assert len(rounds) == n_rounds and sum(rounds) == listed, (p, rounds)
+
+    def test_a_done_prime_leaves_the_rounds(self, monkeypatch):
+        # 199999, put in `done` at its first hit, has listed columns left, yet
+        # no later round factors any of them; 400009 goes on alone
+        rounds = []
+        factor = enumeration._square_divisors
+
+        def spy(ns, most=None):
+            rounds.append(set(ns.tolist()))
+            return factor(ns, most)
+
+        monkeypatch.setattr(enumeration, "_square_divisors", spy)
+        p, other = 199999, 400009
+        columns = set(range(p // 4 + 1, enumeration._edges(p)[0] + 1))
+        done, hits, at = set(), [], None
+        for q, _x, _d in enumeration._listed_rounds([p, other], done):
+            hits.append(q)
+            if q == p:
+                done.add(p)
+                at = len(rounds)
+        assert hits.count(p) == 1 and other in hits
+        assert columns - set().union(*rounds[:at]) and rounds[at:], rounds
+        assert not columns & set().union(*rounds[at:])
 
 
 class TestProgressions:
@@ -187,7 +210,9 @@ class TestProgressions:
     def test_walks_reach_their_boundary_rows(self, p, x, d, row):
         # past band_to only the walks yield hits: the listed columns end at 64r
         assert x > (8 * p - 1) // 31
-        assert (p, x, d) in set(enumeration._listed_rounds([p], walks=True))
+        ps = np.array([p])
+        walks = (enumeration._e_walk_hits(ps), enumeration._d0_walk_hits(ps))
+        assert (p, x, d) in {hit for w in walks for hit in zip(*(a.tolist() for a in w))}
         assert row in enumerate_fast(p).as_tuples()
 
     # SHA-256 of repr(rows), frozen from an enumerator that listed the divisors
