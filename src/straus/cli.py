@@ -64,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--strict", action="store_true",
                           help="exit 1 if any exception is found")
     p_verify.add_argument("--witnesses", action="store_true",
-                          help="store the first witness per prime in the CSV")
+                          help="store the first witness per prime in the CSV "
+                               "(conj3-pattern and conj5-pattern only)")
     p_verify.add_argument("--pstar", type=int, default=verify_mod.DEFAULT_THRESHOLD_PRIME,
                           help="pattern threshold used to annotate exceptions")
     p_verify.add_argument("--out", help="ledger CSV destination")

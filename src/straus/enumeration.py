@@ -7,8 +7,9 @@ other pairs as residue classes mod 4x - p or by walking the divisors of a few
 small numbers, all in numpy.  One driver, _block_hits, walks the columns of
 a block of primes: stats tallies its hits unordered, and _solution_rows,
 behind enumerate_fast, solve and the claim checks, sorts one prime's hits
-into (x, y) order.  enumerate_fast must reproduce the oracle, which exists so
-it can be checked against it wholesale.
+into (x, y) order.  The listed columns, like verify's window cells, go in
+rounds that one scheduler lays out (_rounds).  enumerate_fast must reproduce
+the oracle, which exists so it can be checked against it wholesale.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
-from typing import IO, Collection, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .core import Triple, next_boundary, require_solution
 from .sieve import PrimeRange, primes_in, require_prime
@@ -53,15 +54,11 @@ _TRIAL_PRIMES = array("q", primes_in(PrimeRange(2, isqrt(_FACTOR_LIMIT))))
 _TRIAL_COVERS = array("q", (q ** -(-_FACTOR_LIMIT.bit_length() // (q.bit_length() - 1))
                             for q in _TRIAL_PRIMES))
 
-# A listed round gives each live prime its next `width` columns, width doubling
-# from 1, but never fewer than _ROUND_FLOOR columns in all: a prime p has about
+# A round (_rounds) gives each item it serves its next w columns, w doubling
+# from 1 but never below _ROUND_FLOOR // (items served): a prime p has about
 # p/1020 listed columns, so one prime up to 2 * 10**5 (196 columns) is done in
-# one or two rounds.
+# one or two listed rounds.
 _ROUND_FLOOR = 128
-# A round has at most max(live primes, _CELL_BLOCK) < 2**18 columns, so that a
-# hit's column and D < 2**45 share one int64 sort key; longer lists of primes
-# go through the rounds in parts.
-_ROUND_PRIMES = 1 << 17
 
 
 def _square_divisors(ns, most=None) -> Iterator[tuple]:
@@ -257,8 +254,7 @@ def _block_hits(primes: Sequence[int]) -> Iterator[tuple[int, int, int]]:
     The block runs in three stages, each over all its primes at once:
     1. the e-type walks, which factor their numbers in one
        _square_divisors pass, then the d0-type walks;
-    2. the listed columns, x-major, in rounds of columns whose width
-       doubles (_listed_rounds);
+    2. the listed columns, x-major, in _rounds (_listed_rounds);
     3. the progression columns of all the primes, to _progression_hits in
        calls of _COLUMN_BLOCK columns, so that one call may span several
        primes.
@@ -294,73 +290,80 @@ def _block_hits(primes: Sequence[int]) -> Iterator[tuple[int, int, int]]:
         yield from _progression_hits(call)
 
 
-def _listed_rounds(primes: Sequence[int], done: Collection[int] = ()
-                   ) -> Iterator[tuple[int, int, int]]:
+def _rounds(nxt, last, done) -> Iterator[tuple]:
+    """(owner, x) int64 arrays, a pair a round: the next columns of the live
+    items, item i's being nxt[i] <= x <= last[i] (int64 arrays).  A round
+    serves the first s <= _CELL_BLOCK live items, each its next w columns,
+    w doubling from 1 but at least _ROUND_FLOOR // s and at most
+    max(1, _CELL_BLOCK // s), so at most _CELL_BLOCK columns; owners ascend,
+    and each owner's x ascend.  An item retires after its last column, or
+    once the caller sets done[i] (a boolean array, read after each round)."""
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
+    nxt = nxt.copy()
+    live = np.flatnonzero((nxt <= last) & ~done)
+    width = 1
+    while live.size:
+        served = live[:_CELL_BLOCK]
+        width = min(max(width, _ROUND_FLOOR // served.size), max(1, _CELL_BLOCK // served.size))
+        lo = nxt[served]
+        take = np.minimum(last[served] - lo + 1, width)
+        ends = take.cumsum()
+        nxt[served] = lo + take
+        yield served.repeat(take), np.arange(ends[-1]) + (lo - ends + take).repeat(take)
+        live = live[(nxt[live] <= last[live]) & ~done[live]]
+        width *= 2
+
+
+def _listed_rounds(primes: Sequence[int], done=None) -> Iterator[tuple[int, int, int]]:
     """(p, x, D) for the solutions in the listed columns p/4 < x <= 64r
     (r = 4x - p, so x <= p/2 and every D gives y >= x) of the primes: the
     divisors d of x**2 with r | px + d, and D = p*d0 for the divisors
     d0 <= x of x**2 with r | px + p*d0.
 
-    The columns go x-major, in rounds.  A round gives every live prime its
-    next w listed columns, w doubling from 1 but at least
-    _ROUND_FLOOR // (live primes) and at most _CELL_BLOCK // (live primes).
-    It factors each distinct x of the round once (_square_divisors) and
-    tests every (p, d) pair of its columns in one int64 expression
-    (_pair_keys).  Its hits come in the order of `primes`, each prime's in
-    (x, D) order, which is (x, y) order.  A prime leaves the rounds after
-    its last listed column, or once it is in `done`, which the caller may
-    fill as the hits arrive: it is read before each round and before each
-    hit.
+    The columns go x-major, in _rounds.  A round factors each distinct x of
+    its columns once (_square_divisors) and tests every (p, d) pair of its
+    columns in one int64 expression (_pair_keys).  A round's hits come in
+    the order of `primes`, and each prime's in (x, D) order, which is
+    (x, y) order.  `done`, a boolean array over the primes or None, lets
+    the caller retire primes[i] as the hits arrive: it is read before each
+    hit, no hit of a prime with done[i] set is yielded, and _rounds lays
+    out no more of its columns.
 
     int64 is exact: at FAST_LIMIT, x <= 64p/255 < 2.51 * 10**6, so
     d <= x**2 < 6.3 * 10**12, px + d < 3.2 * 10**13 and
     px + p*d0 <= 2px < 5.1 * 10**13.  A round's hits are sorted as one
-    int64 key, column * 2**45 + D, since D <= px < 2**45 and a round has
-    fewer than 2**18 columns: at most max(live primes, _CELL_BLOCK), and
-    longer lists of primes go through the rounds _ROUND_PRIMES at a time.
+    int64 key, column * 2**45 + D, since D <= px < 2**45 and a round has at
+    most _CELL_BLOCK <= 2**18 columns.
     """
     import numpy as np  # here, not at module level: import straus stays numpy-free
 
-    if len(primes) > _ROUND_PRIMES:
-        for a in range(0, len(primes), _ROUND_PRIMES):
-            yield from _listed_rounds(primes[a : a + _ROUND_PRIMES], done)
-        return
     ps = _int64_primes(primes)
-    nxt = ps // 4 + 1  # each prime's next listed column
-    end = _edges(ps)[0]  # and its last
-    live = np.flatnonzero(nxt <= end)
-    width = 1
-    while live.size:
-        width = min(max(width, _ROUND_FLOOR // live.size), max(1, _CELL_BLOCK // live.size))
-        lp, ln, le = ps[live], nxt[live], end[live]
-        take = np.minimum(le - ln + 1, width)
-        cols = take.cumsum()
-        cp = lp.repeat(take)
-        cx = np.arange(take.sum()) + (ln - cols + take).repeat(take)
-        nxt[live] = ln + take
+    if done is None:
+        done = np.zeros(ps.size, dtype=bool)
+    for owner, cx in _rounds(ps // 4 + 1, _edges(ps)[0], done):
+        cp = ps[owner]
         by_x = cx.argsort(kind="stable")
         xs = cx[by_x]
         # the columns of ux[i] are by_x[at[i]:at[i + 1]]
         at = np.concatenate([[True], xs[1:] != xs[:-1], [True]]).nonzero()[0]
         ux, n_cols = xs[at[:-1]], at[1:] - at[:-1]
         keys = []
-        for owner, div in _square_divisors(ux):
-            a, b = owner[0], owner[-1] + 1  # this chunk's x, ux[a:b]
-            keys += _pair_keys(cx, cp, by_x[at[a] : at[b]], n_cols[a:b], owner - a, div)
+        for o, div in _square_divisors(ux):
+            a, b = o[0], o[-1] + 1  # this chunk's x, ux[a:b]
+            keys += _pair_keys(cx, cp, by_x[at[a] : at[b]], n_cols[a:b], o - a, div)
         key = np.concatenate(keys)
         key.sort()  # (column, D) order, as column << 45 | D
         x, d = cx[key >> 45], key & ((1 << 45) - 1)
-        lo = 0
-        for p, hi in zip(lp.tolist(), key.searchsorted(cols << 45).tolist()):
+        last = np.flatnonzero(np.diff(owner, append=-1))  # each owner's last column
+        lo = 0  # each owner's hits are x[lo:hi], hi the key of its last column + 1
+        for i, p, hi in zip(owner[last].tolist(), cp[last].tolist(),
+                            key.searchsorted(last + 1 << 45).tolist()):
             for x_i, d_i in zip(x[lo:hi].tolist(), d[lo:hi].tolist()):
-                if p in done:
+                if done[i]:
                     break
                 yield p, x_i, d_i
             lo = hi
-        live = live[nxt[live] <= end[live]]
-        if done:
-            live = live[~np.isin(ps[live], list(done))]
-        width *= 2
 
 
 def _pair_keys(cx, cp, cols, n_cols, owner, div) -> list:

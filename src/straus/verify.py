@@ -21,12 +21,12 @@ hit in the same window; its x is always the lcm partner of its y, so it
 certifies conj3-pattern too (_lcm_holds).
 
 Sweeps find the first hit of a block of primes at once, in numpy
-(_first_cells), and _hits confirms each one with _cell before it decides
-anything; a prime the kernel misses is decided by the scalar scan.  The
-single-prime entry points run in plain Python and never load numpy: the
-conj5 witness and the I(a) cell scan their window with _cell (_scan), and
-the conj3 witness walks x-columns down from the partner of ceil(p/2)
-(_conj3_descent), confirming its hit with _cell.
+(_first_cells, in enumeration._rounds), and _hits confirms each one with
+_cell before it decides anything; a prime the kernel misses is decided by
+the scalar scan.  The single-prime entry points run in plain Python and
+never load numpy: the conj5 witness and the I(a) cell scan their window
+with _cell (_scan), and the conj3 witness walks x-columns down from the
+partner of ceil(p/2) (_conj3_descent), confirming its hit with _cell.
 
 A prime without a hit is an exception of conj1 and conj5-pattern; conj2 and
 conj3-pattern enumerate it (enumeration._solution_rows, whose rows arrive
@@ -34,8 +34,8 @@ checked).  An unstored lcm hit has its identity checked (require_solution).
 Only a stored or printed witness becomes a WitnessReport, whose Triple
 checks the identity again.  A stored conj3-pattern witness is the first
 lcm-patterned solution in (x, y) order: that path reads a block's listed
-columns in shared rounds (_pattern_ys) and enumerates only a prime without
-such a row there.
+columns in shared rounds (_pattern_ys), marks a prime done at its first such
+row, and enumerates only a prime without one there.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from .core import Triple, offset_x, require_solution
-from .enumeration import _CELL_BLOCK, _listed_rounds, _row, _solution_rows
+from .enumeration import _listed_rounds, _rounds, _row, _solution_rows
 from .parallel import blocks, pmap
 from .sieve import PrimeRange, primes_in, require_prime
 from .sink import write_to
@@ -296,7 +296,7 @@ _CELL_LIMIT = 10_000_000
 
 
 def _first_cells(primes: Sequence[int], lcm_shaped: bool) -> list[int]:
-    """For each prime p (all <= _CELL_LIMIT), the first x in p/4 < x <= p/2
+    """For each prime p (0 past _CELL_LIMIT), the first x in p/4 < x <= p/2
     whose cell hits, or 0.  With q = 4x - p, m = px mod q and D = q - m, x hits
     - for the type I(a) cell (odd p) when D | x^2;
     - when lcm_shaped, when m != 0 and D | x.  _cell also asks D | y for
@@ -306,40 +306,25 @@ def _first_cells(primes: Sequence[int], lcm_shaped: bool) -> list[int]:
       (p = 2 has m = 0).  So D | x gives D | px + D = qy, hence D | y.
     _hits confirms every hit with _cell.
 
-    The windows are tested in rounds over the primes still without a hit,
-    each prime's next `width` cells per round; a prime leaves the rounds at
-    its first hit or at the end of its window.  Most primes hit within a
-    few cells and a few need thousands, so width starts at 1 and doubles
-    each round, up to about _CELL_BLOCK cells per round.  int64 is exact:
-    p <= 10^7 keeps p*x and x*x below 10^14, even in the cells a round
-    tests past a window's end.
+    The windows are tested in _rounds, whose widths double because most
+    primes hit within a few cells and a few need thousands.  A prime is done
+    at its first hit; one past _CELL_LIMIT, which may not fit int64 and
+    stands in as _CELL_LIMIT + 1, starts done, so none of its cells is laid
+    out.  int64 is exact: p <= 10^7 keeps p*x and x*x below 10^14.
     """
     import numpy as np  # here, not at module level: import straus stays numpy-free
 
-    if not primes:
-        return []
-    p_all = np.array(primes, dtype=np.int64)
-    nxt = p_all // 4 + 1  # each prime's next untested x
-    end = p_all // 2
-    first = np.zeros_like(p_all)
-    live = np.flatnonzero(nxt <= end)
-    width = 1
-    while live.size:
-        p, lo = p_all[live, None], nxt[live, None]
-        x = lo + np.arange(width)
+    ps = np.array([p if p <= _CELL_LIMIT else _CELL_LIMIT + 1 for p in primes], dtype=np.int64)
+    done = ps > _CELL_LIMIT
+    first = np.zeros_like(ps)
+    for owner, x in _rounds(ps // 4 + 1, ps // 2, done):
+        p = ps[owner]
         q = 4 * x - p
-        px = p * x
-        d = q - px % q
-        if lcm_shaped:
-            hit = (d < q) & (x % d == 0)
-        else:
-            hit = x * x % d == 0
-        hit &= x <= end[live, None]
-        row = hit.any(axis=1)
-        first[live[row]] = lo[row, 0] + hit[row].argmax(axis=1)
-        nxt[live] += width
-        live = live[~row & (nxt[live] <= end[live])]
-        width = min(2 * width, max(1, _CELL_BLOCK // max(1, live.size)))
+        d = q - p * x % q
+        hit = np.flatnonzero((d < q) & (x % d == 0) if lcm_shaped else x * x % d == 0)
+        hit = hit[np.diff(owner[hit], prepend=-1) != 0]  # each owner's first hit
+        first[owner[hit]] = x[hit]
+        done[owner[hit]] = True
     return first.tolist()
 
 
@@ -349,15 +334,11 @@ def _hits(primes: Sequence[int], lcm_shaped: bool) -> list[tuple[int, int, int, 
     or None.  Each _first_cells hit must lie in that window and pass _cell
     in exact integers; any other cell raises.  The scalar scan decides each
     prime the kernel finds no hit for (below 10^7, 2 and 193 for the I(a)
-    cell, and 2, 3, 7, 47, 193 and 2521 for the lcm shape), and every prime
-    of a block holding one past _CELL_LIMIT, which only a caller's ledger or
-    _check_claim brings."""
-    if max(primes, default=0) > _CELL_LIMIT:
-        firsts = [0] * len(primes)
-    else:
-        firsts = _first_cells(primes, lcm_shaped)
+    cell, and 2, 3, 7, 47, 193 and 2521 for the lcm shape), among them any
+    prime past _CELL_LIMIT, which only a caller's ledger or _check_claim
+    brings."""
     found: list[tuple[int, int, int, int] | None] = []
-    for p, x in zip(primes, firsts):
+    for p, x in zip(primes, _first_cells(primes, lcm_shaped)):
         if not x:
             found.append(_scan(p, *conj5_window(p), True) if lcm_shaped else _ia_cell(p))
             continue
@@ -417,19 +398,24 @@ def _pattern_y(p: int) -> tuple[int, int, int, int] | None:
 def _pattern_ys(primes: Sequence[int]) -> list[tuple[int, int, int, int] | None]:
     """[_pattern_y(p) for p in primes], the block's listed columns read
     together: enumeration._listed_rounds gives every prime its next columns
-    in shared rounds, each prime's rows in (x, y) order, and a prime leaves
-    the rounds at its first lcm-patterned row.  A prime with no such row in
-    its listed columns (106 of the primes below 10^6) is enumerated by
-    _pattern_y.
+    in shared rounds, each prime's rows in (x, y) order, and a prime is
+    marked done at its first lcm-patterned row, which retires it from the
+    rounds.  A prime with no such row in its listed columns (106 of the
+    primes below 10^6) is enumerated by _pattern_y.
     """
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
+    index = {p: i for i, p in enumerate(primes)}
+    done = np.zeros(len(primes), dtype=bool)
     found: dict[int, tuple[int, int, int, int]] = {}
     scans = dict.fromkeys(primes, 0)
-    for p, x, d in _listed_rounds(primes, found):
+    for p, x, d in _listed_rounds(primes, done):
         _x, y, _z = _row(p, x, d)
         scans[p] += 1
         hit = _cell(p, y, True)
         if hit is not None and hit[0] == x:
             found[p] = y, x, hit[1], scans[p]
+            done[index[p]] = True
     return [found[p] if p in found else _pattern_y(p) for p in primes]
 
 
@@ -489,6 +475,12 @@ def _check_claim(claim: str, store: bool, p: int) -> tuple[int, bool, WitnessRep
     return p, not exceptions, witnesses[0] if witnesses else None
 
 
+def _require_claim(claim: str) -> None:
+    """Raise ValueError unless claim is one of CLAIMS."""
+    if claim not in CLAIMS:
+        raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
+
+
 @dataclass(frozen=True)
 class ExceptionLedger:
     """Outcome of a sweep: which primes in range fail the claim."""
@@ -497,6 +489,9 @@ class ExceptionLedger:
     prime_range: PrimeRange
     exceptions: tuple[int, ...]
     witnesses: tuple[WitnessReport, ...] = ()
+
+    def __post_init__(self) -> None:
+        _require_claim(self.claim)
 
     def unexpected(self, threshold: int = DEFAULT_THRESHOLD_PRIME) -> tuple[int, ...]:
         """Exceptions above the pattern threshold p*."""
@@ -522,8 +517,7 @@ def sweep(
     a plain ordered concatenation.  A sweep too cheap to pay for a pool runs
     in-process at any worker count.
     """
-    if claim not in CLAIMS:
-        raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
+    _require_claim(claim)
     r.require_within(CLAIM_CEILINGS[claim], claim)
     primes = primes_in(r)
     checked = pmap(partial(_check_block, claim, store_witnesses), blocks(primes, workers), workers)

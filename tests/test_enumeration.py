@@ -113,11 +113,11 @@ class TestFast:
         assert [list(_solution_rows(p)) for p in primes] == whole
 
     def test_rounds_in_parts_yield_the_same_hits(self, monkeypatch):
-        # a list of more than _ROUND_PRIMES primes goes through the rounds in
-        # parts
+        # a round serves at most _CELL_BLOCK primes, so with 7 the 429 primes
+        # go through the listed rounds 7 at a time
         primes = primes_in(PrimeRange(2, 3000))
         whole = sorted(enumeration._block_hits(primes))
-        monkeypatch.setattr(enumeration, "_ROUND_PRIMES", 7)
+        monkeypatch.setattr(enumeration, "_CELL_BLOCK", 7)
         assert sorted(enumeration._block_hits(primes)) == whole
 
     def test_rounds_of_a_lone_prime_start_at_the_floor(self, monkeypatch):
@@ -139,8 +139,9 @@ class TestFast:
             assert len(rounds) == n_rounds and sum(rounds) == listed, (p, rounds)
 
     def test_a_done_prime_leaves_the_rounds(self, monkeypatch):
-        # 199999, put in `done` at its first hit, has listed columns left, yet
-        # no later round factors any of them; 400009 goes on alone
+        # 199999, marked done at its first hit, has listed columns left, yet
+        # no later round factors any of them and no later hit of it comes;
+        # 400009 goes on alone
         rounds = []
         factor = enumeration._square_divisors
 
@@ -151,15 +152,74 @@ class TestFast:
         monkeypatch.setattr(enumeration, "_square_divisors", spy)
         p, other = 199999, 400009
         columns = set(range(p // 4 + 1, enumeration._edges(p)[0] + 1))
-        done, hits, at = set(), [], None
+        done, hits, at = np.zeros(2, dtype=bool), [], None
         for q, _x, _d in enumeration._listed_rounds([p, other], done):
             hits.append(q)
             if q == p:
-                done.add(p)
+                done[0] = True
                 at = len(rounds)
         assert hits.count(p) == 1 and other in hits
         assert columns - set().union(*rounds[:at]) and rounds[at:], rounds
         assert not columns & set().union(*rounds[at:])
+
+
+class TestRounds:
+    """enumeration._rounds, the one round scheduler, on synthetic int64
+    windows: item i's columns are nxt[i] <= x <= last[i]."""
+
+    @staticmethod
+    def _rounds(nxt, last, done=None):
+        """The rounds as lists of (owner, x) columns; `done` may be marked
+        between them."""
+        nxt, last = np.array(nxt, dtype=np.int64), np.array(last, dtype=np.int64)
+        done = np.zeros(nxt.size, dtype=bool) if done is None else done
+        for owner, x in enumeration._rounds(nxt, last, done):
+            assert owner.dtype == x.dtype == np.int64
+            yield list(zip(owner.tolist(), x.tolist()))
+
+    def test_every_window_comes_out_whole_and_ascending(self):
+        # one window in seven is empty, and none of those ever appears
+        nxt = [i * 37 % 1000 for i in range(300)]
+        last = [lo + i * 53 % 301 - 7 * (i % 7 == 0) for i, lo in enumerate(nxt)]
+        columns = {}
+        for round_ in self._rounds(nxt, last):
+            assert round_ == sorted(round_)  # owners ascend, each owner's x too
+            for i, x in round_:
+                columns.setdefault(i, []).append(x)
+        assert set(columns) == {i for i in range(300) if nxt[i] <= last[i]}
+        for i, xs in columns.items():
+            assert xs == list(range(nxt[i], last[i] + 1)), i
+
+    def test_no_round_holds_more_than_cell_block_columns(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_CELL_BLOCK", 7)
+        nxt = [5 * i for i in range(50)]
+        last = [lo + i % 9 for i, lo in enumerate(nxt)]
+        rounds = list(self._rounds(nxt, last))
+        assert max(map(len, rounds)) == 7
+        assert sorted(c for round_ in rounds for c in round_) == [
+            (i, x) for i in range(50) for x in range(nxt[i], last[i] + 1)]
+
+    def test_a_done_item_leaves_the_rounds(self):
+        done = np.zeros(5, dtype=bool)
+        seen = []
+        for k, round_ in enumerate(self._rounds([0] * 5, [499] * 5, done)):
+            seen.append({i for i, _x in round_})
+            if k == 0:
+                done[2] = True
+            if k == 2:
+                done[4] = True
+        assert seen[0] == seen[1] | {2} == seen[2] | {2} == {0, 1, 2, 3, 4}
+        assert all(s == {0, 1, 3} for s in seen[3:]) and len(seen) > 3
+
+    @pytest.mark.parametrize("items", [1, 3, 1000])
+    def test_widths_double_from_the_floor(self, items):
+        # every item has 5000 columns, so every round serves all of them; the
+        # widths stop at _CELL_BLOCK // items, which 1000 items reach
+        w = max(1, enumeration._ROUND_FLOOR // items)
+        cap = enumeration._CELL_BLOCK // items
+        widths = [len(r) // items for r in self._rounds([0] * items, [4999] * items)]
+        assert widths[:-1] == [min(w << k, cap) for k in range(len(widths) - 1)]
+        assert sum(widths) == 5000 and 0 < widths[-1] <= min(w << (len(widths) - 1), cap)
 
 
 class TestProgressions:
@@ -266,13 +326,14 @@ class TestProgressions:
     def test_int64_bounds_hold_at_the_ceiling(self):
         # the largest listed column x and walked u at FAST_LIMIT: the listed
         # pass forms x**2 >= d and px + p*d0 <= 2px, the walks u + u**2, and
-        # a listed hit's sort key is its column (below 2**18) above D <= px
+        # a listed hit's sort key is its column, below the _CELL_BLOCK
+        # columns of a round, above D <= px
         x = (64 * FAST_LIMIT - 1) // 255
         u = (31 * FAST_LIMIT + 1) // 4
         assert x**2 < 6.3e12 and 2 * FAST_LIMIT * x < 2**63
-        assert FAST_LIMIT * x < 2**45 and (2**18 - 1) << 45 | (2**45 - 1) < 2**63
+        assert FAST_LIMIT * x < 2**45
+        assert (enumeration._CELL_BLOCK - 1) << 45 | (2**45 - 1) < 2**63
         assert u + u**2 < 6.1e15 < 2**63
-        assert enumeration._ROUND_PRIMES <= 2**17 and enumeration._CELL_BLOCK <= 2**17
 
     def test_enumeration_leaves_module_state_untouched(self):
         def state():

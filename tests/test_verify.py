@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import straus
-from straus import construct, core, sieve, verify
+from straus import construct, core, enumeration, sieve, verify
 from straus.construct import (
     ResidueRule,
     RuleSet,
@@ -293,9 +293,10 @@ class TestCellKernel:
             assert missed == [p for p, hit in zip(primes, hits) if hit is None or p == 2]
         return ia, found
 
-    @pytest.mark.parametrize("cell_block", [verify._CELL_BLOCK, 7])
+    @pytest.mark.parametrize("cell_block", [enumeration._CELL_BLOCK, 7])
     def test_kernel_equals_the_scalar_scans_to_200000(self, cell_block, monkeypatch):
-        monkeypatch.setattr(verify, "_CELL_BLOCK", cell_block)
+        # rounds of at most 7 cells (_rounds) run the kernel through tiny rounds
+        monkeypatch.setattr(enumeration, "_CELL_BLOCK", cell_block)
         primes = primes_in(PrimeRange(2, 200_000))
         ia, found = self._kernel_equals_scalar(primes)
         assert [p for p, hit in zip(primes, ia) if hit is None] == [193]
@@ -306,10 +307,10 @@ class TestCellKernel:
                 x, y, d, _scans = hit
                 assert verify._cell(p, y, True) == (x, d), p
 
-    @pytest.mark.parametrize("cell_block", [verify._CELL_BLOCK, 7])
+    @pytest.mark.parametrize("cell_block", [enumeration._CELL_BLOCK, 7])
     def test_kernel_equals_the_scalar_scans_at_the_int64_edge(self, cell_block, monkeypatch):
         # p*x and x*x come near 10^14 here, the top of _first_cells' int64 range
-        monkeypatch.setattr(verify, "_CELL_BLOCK", cell_block)
+        monkeypatch.setattr(enumeration, "_CELL_BLOCK", cell_block)
         primes = primes_in(PrimeRange(9_900_000, verify._CELL_LIMIT))
         assert len(primes) == 6134
         ia, found = self._kernel_equals_scalar(primes)
@@ -331,12 +332,23 @@ class TestCellKernel:
     @pytest.mark.parametrize("claim", verify.CLAIMS)
     def test_primes_past_the_int64_bound_take_the_scalar_scans(self, claim, monkeypatch):
         assert max(verify.CLAIM_CEILINGS.values()) <= verify._CELL_LIMIT
-        monkeypatch.setattr(verify, "_first_cells", None)  # never called past the bound
+        rounds, laid = verify._rounds, []
+
+        def spy(nxt, last, done):
+            # no column of a prime past the bound is ever laid out: the odd
+            # prime behind a window ending at last = p // 2 is 2 * last + 1
+            for owner, x in rounds(nxt, last, done):
+                assert (2 * last[owner] + 1 <= verify._CELL_LIMIT).all(), x
+                laid.append(x.size)
+                yield owner, x
+
+        monkeypatch.setattr(verify, "_rounds", spy)
         primes = (17, 10_000_019, 10_000_079)
         lcm_shaped = claim not in ("conj1", "conj2")
         scalar = [verify._scan(p, *conj5_window(p), True) if lcm_shaped else verify._ia_cell(p)
                   for p in primes]
         assert verify._hits(primes, lcm_shaped) == scalar
+        assert laid  # 17's cells
         for p in primes[1:]:
             assert _check_claim(claim, False, p) == (p, True, None)
         # a ledger listing a prime past 10^7 can still be rechecked
@@ -401,6 +413,12 @@ class TestSweep:
     def test_unknown_claim(self):
         with pytest.raises(ValueError):
             sweep("conj9", PrimeRange(2, 100))
+
+    def test_a_ledger_refuses_an_unknown_claim(self):
+        # an unknown claim would fall through to the conj5 checks in recheck
+        # and be written as a ledger's claim column
+        with pytest.raises(ValueError, match=r"unknown claim 'conj4'; expected one of \("):
+            ExceptionLedger("conj4", PrimeRange(2, 3000), (47, 2521))
 
     def test_oversized_range_refused_with_suggestion(self):
         with pytest.raises(ValueError, match=r"try \[2, 10000000\]"):
