@@ -5,9 +5,9 @@ deliberately naive; enumerate_fast reformulates each x-column as a
 divisor-pair problem, lists divisors only in the first columns and finds the
 other pairs as residue classes mod 4x - p or by walking the divisors of a few
 small numbers, all in numpy.  One driver, _block_hits, walks the columns of
-a block of primes: stats tallies its hits unordered, and _solution_rows,
-behind enumerate_fast, solve and the claim checks, sorts one prime's hits
-into (x, y) order.  The listed columns, like verify's window cells, go in
+a block of primes and hands its hits out as int64 array chunks: stats
+tallies them unordered, and _solution_rows, behind enumerate_fast, solve
+and the claim checks, sorts one prime's hits into (x, y) order.  The listed columns, like verify's window cells, go in
 rounds that one scheduler lays out (_rounds).  enumerate_fast must reproduce
 the oracle, which exists so it can be checked against it wholesale.
 """
@@ -26,7 +26,7 @@ from .sieve import PrimeRange, primes_in, require_prime
 from .sink import write_to
 
 ORACLE_LIMIT = 10_000
-# `straus solve 9999991` takes 0.67-0.69 s on one core at 41 MiB peak RSS
+# `straus solve 9999991` takes 0.49-0.55 s on one core at 42 MiB peak RSS
 # (2-vCPU box, Python 3.11, numpy 2.4); the time grows like p, and the memory
 # stays flat because every numpy step is bounded: the listed rounds and the
 # walks factor and test at most _CELL_BLOCK numbers or pairs at a time, and the
@@ -59,6 +59,9 @@ _TRIAL_COVERS = array("q", (q ** -(-_FACTOR_LIMIT.bit_length() // (q.bit_length(
 # p/1020 listed columns, so one prime up to 2 * 10**5 (196 columns) is done in
 # one or two listed rounds.
 _ROUND_FLOOR = 128
+
+# A listed hit's key is column << 45 | D (_listed_pass); D is its low bits.
+_D_MASK = (1 << 45) - 1
 
 
 def _square_divisors(ns, most=None) -> Iterator[tuple]:
@@ -223,17 +226,21 @@ def _int64_primes(primes: Sequence[int]):
 
 def _solution_rows(p: int) -> Iterator[tuple[int, int, int]]:
     """The solutions for the prime p as (x, y, z) ints in (x, y) order: the
-    hits of _block_hits([p]) sorted by (x, D), which is (x, y) order, each
-    turned into its row and checked by _row."""
-    for _p, x, d in sorted(_block_hits([p])):
-        yield _row(p, x, d)
+    hits of _block_hits([p]) lexsorted by (x, D), which is (x, y) order,
+    each turned into its row and checked by _row."""
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
+    _p, x, d = map(np.concatenate, zip(*_block_hits([p])))
+    order = np.lexsort((d, x))
+    for x_i, d_i in zip(x[order].tolist(), d[order].tolist()):
+        yield _row(p, x_i, d_i)
 
 
-def _block_hits(primes: Sequence[int]) -> Iterator[tuple[int, int, int]]:
-    """(p, x, D) for every solution (x, y, z) of every prime p in `primes`:
-    D is the divisor of (px)**2 behind the row, which _row turns into y and
-    z and checks.  x <= y <= z and the window p/4 < x <= 3p/4 hold by
-    construction.
+def _block_hits(primes: Sequence[int]) -> Iterator[tuple]:
+    """(p, x, D) int64 arrays, chunk by chunk, for every solution (x, y, z)
+    of every prime p in `primes`: D is the divisor of (px)**2 behind the
+    row, which _row turns into y and z and checks.  x <= y <= z and the
+    window p/4 < x <= 3p/4 hold by construction.
 
     Per x-column 1/y + 1/z = r/N with r = 4x - p and N = px, so solutions
     correspond to divisor pairs d*e = N**2 with d <= N and r | (N + d),
@@ -251,27 +258,34 @@ def _block_hits(primes: Sequence[int]) -> Iterator[tuple[int, int, int]]:
     above the band, where x <= 8r, divisor walks over small numbers find
     those two (_e_walk_hits, _d0_walk_hits).
 
-    The block runs in three stages, each over all its primes at once:
+    The block runs in three stages, each over all its primes at once, and
+    each yields its own chunks:
     1. the e-type walks, which factor their numbers in one
-       _square_divisors pass, then the d0-type walks;
-    2. the listed columns, x-major, in _rounds (_listed_rounds);
-    3. the progression columns of all the primes, to _progression_hits in
-       calls of _COLUMN_BLOCK columns, so that one call may span several
-       primes.
+       _square_divisors pass, then the d0-type walks, a chunk each;
+    2. the listed columns, x-major, a chunk per round of _listed_pass;
+    3. the progression columns of all the primes, a chunk per
+       _progression_hits call of _COLUMN_BLOCK columns, so that one call
+       may span several primes.
     The hits come in no particular order.  Every stage computes in int64,
     exact up to FAST_LIMIT, where _int64_primes refuses a larger prime
     before any stage runs: a listed x <= 64p/255 has x**2 < 6.3 * 10**12
     and px + d < 3.2 * 10**13 (px + p*d0 <= 2px < 5.1 * 10**13), a walked
     u <= (31p + 1)/4 = 7.75 * 10**7 has u**2 < 6.1 * 10**15, and the
     progression values stay below 2**47 (each docstring has its bounds).
+    Every hit has D <= px with x <= 3p/4, so a chunk's p, x and D are below
+    FAST_LIMIT**2 = 10**14, and px + D <= 2px <= 1.5 * 10**14 as well.
     """
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
     # The walks run first: after the listed rounds they left perfbench's
     # stats-range 12 % slower (median of 6 pairs, 2-vCPU box) through the
     # allocator's page faults, not through their own work.
     ps = _int64_primes(primes)
-    for p, x, d in (_e_walk_hits(ps), _d0_walk_hits(ps)):
-        yield from zip(p.tolist(), x.tolist(), d.tolist())
-    yield from _listed_rounds(primes)
+    yield _e_walk_hits(ps)
+    yield _d0_walk_hits(ps)
+    for _owner, cp, cx, key in _listed_pass(ps, np.zeros(ps.size, dtype=bool)):
+        column = key >> 45
+        yield cp[column], cx[column], key & _D_MASK
     segments = []
     for p in primes:
         listed_to, band_to = _edges(p)
@@ -284,10 +298,10 @@ def _block_hits(primes: Sequence[int]) -> Iterator[tuple[int, int, int]]:
             room -= cut - lo
             lo = cut
             if not room:
-                yield from _progression_hits(call)
+                yield _progression_hits(call)
                 call, room = [], _COLUMN_BLOCK
     if call:
-        yield from _progression_hits(call)
+        yield _progression_hits(call)
 
 
 def _rounds(nxt, last, done) -> Iterator[tuple]:
@@ -315,32 +329,27 @@ def _rounds(nxt, last, done) -> Iterator[tuple]:
         width *= 2
 
 
-def _listed_rounds(primes: Sequence[int], done=None) -> Iterator[tuple[int, int, int]]:
-    """(p, x, D) for the solutions in the listed columns p/4 < x <= 64r
-    (r = 4x - p, so x <= p/2 and every D gives y >= x) of the primes: the
-    divisors d of x**2 with r | px + d, and D = p*d0 for the divisors
-    d0 <= x of x**2 with r | px + p*d0.
+def _listed_pass(ps, done) -> Iterator[tuple]:
+    """(owner, p, x, key) int64 arrays, one tuple a round, for the solutions
+    in the listed columns p/4 < x <= 64r (r = 4x - p, so x <= p/2 and every
+    D gives y >= x) of the primes ps (int64): the round's columns, column i
+    being x[i] of the prime p[i] = ps[owner[i]], and key = i << 45 | D for
+    each hit in column i, unsorted.  The hits are the divisors D = d of x**2
+    with r | px + d, and D = p*d0 for the divisors d0 <= x of x**2 with
+    r | px + p*d0.
 
-    The columns go x-major, in _rounds.  A round factors each distinct x of
-    its columns once (_square_divisors) and tests every (p, d) pair of its
-    columns in one int64 expression (_pair_keys).  A round's hits come in
-    the order of `primes`, and each prime's in (x, D) order, which is
-    (x, y) order.  `done`, a boolean array over the primes or None, lets
-    the caller retire primes[i] as the hits arrive: it is read before each
-    hit, no hit of a prime with done[i] set is yielded, and _rounds lays
-    out no more of its columns.
-
-    int64 is exact: at FAST_LIMIT, x <= 64p/255 < 2.51 * 10**6, so
-    d <= x**2 < 6.3 * 10**12, px + d < 3.2 * 10**13 and
-    px + p*d0 <= 2px < 5.1 * 10**13.  A round's hits are sorted as one
-    int64 key, column * 2**45 + D, since D <= px < 2**45 and a round has at
-    most _CELL_BLOCK <= 2**18 columns.
+    The columns go x-major, in _rounds, which reads `done` (a boolean array
+    over ps) after each round and lays out no more columns of a prime once
+    done[i] is set.  A round factors each distinct x of its columns once
+    (_square_divisors) and tests every (p, d) pair of its columns in one
+    int64 expression (_pair_keys).  int64 is exact: at FAST_LIMIT,
+    x <= 64p/255 < 2.51 * 10**6, so d <= x**2 < 6.3 * 10**12,
+    px + d < 3.2 * 10**13 and px + p*d0 <= 2px < 5.1 * 10**13.  A key fits,
+    since D <= px < 2**45 and a round has at most _CELL_BLOCK <= 2**18
+    columns.
     """
     import numpy as np  # here, not at module level: import straus stays numpy-free
 
-    ps = _int64_primes(primes)
-    if done is None:
-        done = np.zeros(ps.size, dtype=bool)
     for owner, cx in _rounds(ps // 4 + 1, _edges(ps)[0], done):
         cp = ps[owner]
         by_x = cx.argsort(kind="stable")
@@ -352,9 +361,26 @@ def _listed_rounds(primes: Sequence[int], done=None) -> Iterator[tuple[int, int,
         for o, div in _square_divisors(ux):
             a, b = o[0], o[-1] + 1  # this chunk's x, ux[a:b]
             keys += _pair_keys(cx, cp, by_x[at[a] : at[b]], n_cols[a:b], o - a, div)
-        key = np.concatenate(keys)
-        key.sort()  # (column, D) order, as column << 45 | D
-        x, d = cx[key >> 45], key & ((1 << 45) - 1)
+        yield owner, cp, cx, np.concatenate(keys)
+
+
+def _listed_rounds(primes: Sequence[int], done=None) -> Iterator[tuple[int, int, int]]:
+    """(p, x, D) ints, hit by hit, for the solutions in the listed columns
+    of the primes: _listed_pass, whose round's hits come here in the order
+    of `primes`, and each prime's in (x, D) order, which is (x, y) order.
+    `done`, a boolean array over the primes or None, lets the caller retire
+    primes[i] as the hits arrive: it is read before each hit, no hit of a
+    prime with done[i] set is yielded, and no later round lays out any more
+    of its columns.
+    """
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
+    ps = _int64_primes(primes)
+    if done is None:
+        done = np.zeros(ps.size, dtype=bool)
+    for owner, cp, cx, key in _listed_pass(ps, done):
+        key.sort()  # (column, D) order
+        x, d = cx[key >> 45], key & _D_MASK
         last = np.flatnonzero(np.diff(owner, append=-1))  # each owner's last column
         lo = 0  # each owner's hits are x[lo:hi], hi the key of its last column + 1
         for i, p, hi in zip(owner[last].tolist(), cp[last].tolist(),
@@ -461,10 +487,11 @@ def _d0_walk_hits(ps):
     return tuple(map(np.concatenate, zip(*hits)))
 
 
-def _progression_hits(segments: Sequence[tuple[int, int, int, int]]) -> list[tuple[int, int, int]]:
-    """(p, x, D) for the divisors D of (p*x)**2 that give solutions in the
-    column segments (p, lo, hi, band_to), each the columns lo <= x < hi of
-    the prime p (x <= 64r, r = 4x - p), from three progressions mod r:
+def _progression_hits(segments: Sequence[tuple[int, int, int, int]]) -> tuple:
+    """(p, x, D) int64 arrays for the divisors D of (p*x)**2 that give
+    solutions in the column segments (p, lo, hi, band_to), each the columns
+    lo <= x < hi of the prime p (x <= 64r, r = 4x - p), from three
+    progressions mod r:
     - d <= x with d = -p*x, in every column; D = d;
     - e < x with 4e = -1, in the band x <= band_to; D = x**2/e;
     - d0 <= x with d0 = -x, in the band; D = p*d0.
@@ -474,12 +501,17 @@ def _progression_hits(segments: Sequence[tuple[int, int, int, int]]) -> list[tup
     run of columns, each column known by x and r alone (p = 4x - r, and
     p*x = 4x**2 mod r).  Each progression holds at most 64 values.  Its
     first value, about 3 in 10 of all the values, is tested in place,
-    aligned with its column (square % first), with no gathers.  The values
-    past it are laid end to end as one run of cells, progression k owning
-    cells [edges[k], edges[k+1]), and each numpy test covers at most
-    _CELL_BLOCK cells.  int64 is exact: at FAST_LIMIT, 4x**2 <= p**2 stays
-    below 2**47 and, with at most _COLUMN_BLOCK columns per call, c*r with
-    c < 3 * 64 * _COLUMN_BLOCK cells below 2**46.
+    aligned with its column (square % first), with no gathers.  Only the
+    live progressions, those with a second value (first + r <= last; 1 in
+    4 of them over the primes to 6000), go on: their values past the first
+    are laid end to end as one run of cells, live progression j owning
+    cells [edges[j], edges[j+1]), and each numpy test covers at most
+    _CELL_BLOCK cells.
+
+    int64 is exact: at FAST_LIMIT, x <= p/2, so 4x**2 <= p**2 = 10**14
+    < 2**47; a call has at most 3 * _COLUMN_BLOCK progressions of at most
+    64 values, so c*r with c < 3 * 64 * _COLUMN_BLOCK < 2**24 cells and
+    r <= p < 2**24 stays below 2**48; and a hit's D = p*d0 <= px < 2**46.
     """
     import numpy as np  # here, not at module level: import straus stays numpy-free
 
@@ -503,25 +535,26 @@ def _progression_hits(segments: Sequence[tuple[int, int, int, int]]) -> list[tup
     square = col * col
     k = np.flatnonzero((first <= last) & (square % first == 0))
     found_k, found_v = [k], [first[k]]  # the hits: progression, candidate
-    # cells 1 and up, of the progressions that have them
-    count = (last - first) // step
-    np.maximum(count, 0, out=count)
+    # cells 1 and up, of the live progressions: cell c of live progression j
+    # holds base[j] + c*live_step[j]
+    live = np.flatnonzero(first + step <= last)
+    live_first, live_step, live_square = first[live], step[live], square[live]
+    count = (last[live] - live_first) // live_step
     edges = np.concatenate([[0], np.cumsum(count)])
-    base = first + (1 - edges[:-1]) * step  # cell c of progression k holds base[k] + c*step[k]
+    base = live_first + (1 - edges[:-1]) * live_step
     cells = int(edges[-1])
     for c0 in range(0, cells, _CELL_BLOCK):
         c1 = min(c0 + _CELL_BLOCK, cells)
-        k0, k1 = np.searchsorted(edges, [c0, c1 - 1], side="right") - 1  # of the first, last cell
-        k = np.repeat(np.arange(k0, k1 + 1), np.diff(np.clip(edges[k0 : k1 + 2], c0, c1)))
-        v = base[k] + np.arange(c0, c1) * step[k]
-        hit = np.flatnonzero(square[k] % v == 0)
-        found_k.append(k[hit])
+        j0, j1 = np.searchsorted(edges, [c0, c1 - 1], side="right") - 1  # of the first, last cell
+        j = np.repeat(np.arange(j0, j1 + 1), np.diff(np.clip(edges[j0 : j1 + 2], c0, c1)))
+        v = base[j] + np.arange(c0, c1) * live_step[j]
+        hit = np.flatnonzero(live_square[j] % v == 0)
+        found_k.append(live[j[hit]])
         found_v.append(v[hit])
     k, v = np.concatenate(found_k), np.concatenate(found_v)
     ck = col[k]
     pk = 4 * ck - step[k]  # progression k steps by its column's r = 4x - p
-    d = np.where(k < n, v, np.where(k < n + nb, square[k] // v, pk * v))
-    return list(zip(pk.tolist(), ck.tolist(), d.tolist()))
+    return pk, ck, np.where(k < n, v, np.where(k < n + nb, square[k] // v, pk * v))
 
 
 def _row(p: int, x: int, d: int) -> tuple[int, int, int]:

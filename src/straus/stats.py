@@ -14,22 +14,23 @@ reads one prime at a time.  All of it runs over the whole block in numpy:
 the divisor walks of every prime, in one pass; the listed columns x-major,
 in rounds that factor each distinct x once and test every (prime, divisor)
 pair of the round in int64; then the progression columns of all the
-block's primes, in calls that span primes.  Every value stays exact in
-int64 up to enumeration.FAST_LIMIT (x**2 < 6.3 * 10**12 in the
-listed columns, u**2 < 6.1 * 10**15 in the walks).  Each row is checked
-(enumeration._row) and tallied in one flat loop, unsorted, since a bucket
-count does not depend on the order of the rows.  A range costs about the
-sum of its primes' costs.
+block's primes, in calls that span primes.  The hits come as (p, x, D)
+int64 arrays, a chunk per walk, round or call, and every value stays exact
+in int64 up to enumeration.FAST_LIMIT (x**2 < 6.3 * 10**12 in the listed
+columns, u**2 < 6.1 * 10**15 in the walks).  Each row is checked
+(enumeration._row), and each chunk is bucketed in int64 and counted with
+one np.bincount, unsorted, since a bucket count does not depend on the
+order of the rows.  A range costs about the sum of its primes' costs.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from math import log
 from pathlib import Path
 from typing import IO, Sequence
 
-from .core import offset_x
 from .enumeration import FAST_LIMIT, _block_hits, _row
 from .parallel import blocks, pmap
 from .sieve import PrimeRange, primes_in
@@ -44,11 +45,11 @@ def _work(lo: int, hi: int) -> float:
     return (hi * hi - lo * lo) / (2 * log(hi))
 
 
-# A range within FAST_LIMIT can still run for long: [2, 10**5] takes 11-14 s
-# and [2, 200000] 45 s on one worker (fresh process, 2-vCPU box), so
-# [2, 10**6] would take about 17 min.  Ranges costing more than [2, 200000]
+# A range within FAST_LIMIT can still run for long: [2, 10**5] takes 8.8-9.2 s
+# and [2, 200000] 30 s on one worker (fresh process, 2-vCPU box), so
+# [2, 10**6] would take about 11 min.  Ranges costing more than [2, 200000]
 # are refused; a narrow range at the top still runs: [9999900, 10**7],
-# 9 primes, takes 2.3-2.4 s on one worker.
+# 9 primes, takes 2.0-2.1 s on one worker.
 _WORK_BOUND = _work(2, 200_000)
 
 
@@ -92,14 +93,41 @@ class DistTable:
         return self.counts[i] / self.total
 
 
+# _block_buckets checks and buckets a chunk's rows in slices of this many, so
+# that their Python ints and int64 temporaries stay small: the first listed
+# round of a block of small primes holds a quarter million hits, which in one
+# piece raised a block's traced peak memory from 25 to 49 MiB.
+_SLICE = 1 << 13
+
+
 def _block_buckets(primes: Sequence[int]) -> list[tuple[int, ...]]:
-    """The solution counts of each prime of the block per offset bucket, in
-    the order of `primes`; top level so range_summary can fork it."""
-    tally = {p: [0] * len(BUCKETS) for p in primes}
-    for p, x, d in _block_hits(primes):
-        _x, y, _z = _row(p, x, d)
-        tally[p][min(offset_x(p, x, y), 5) - 1] += 1
-    return [tuple(buckets) for buckets in tally.values()]
+    """The solution counts of each prime of the block (ascending primes, a
+    slice of primes_in) per offset bucket, in the order of `primes`; top
+    level so range_summary can fork it.
+
+    Each chunk of _block_hits is bucketed in int64: y = (px + D)/r with
+    r = 4x - p, and, with s = 4y - p, the bucket
+    min(x - floor(py/s), 5) = min(x - (p + p**2 // s) // 4, 5), since
+    py/s = (p + p**2/s)/4 and floor((a/s)/4) = floor(floor(a/s)/4).  At
+    FAST_LIMIT p**2 = 10**14, px + D <= 2px <= 1.5 * 10**14 and
+    s < 4y < 6 * 10**14, so every value stays below 10**15; py itself, up to
+    10**21, is never formed.  One np.bincount per chunk counts its
+    (prime, bucket) cells, and every row still passes _row's exact check.
+    """
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
+    ps = np.array(primes, dtype=np.int64)
+    tally = np.zeros(ps.size * len(BUCKETS), dtype=np.int64)
+    for chunk in _block_hits(primes):
+        cells = [ps[:0]]
+        for a in range(0, chunk[0].size, _SLICE):
+            p, x, d = (v[a : a + _SLICE] for v in chunk)
+            deque(map(_row, p.tolist(), x.tolist(), d.tolist()), maxlen=0)
+            y = (p * x + d) // (4 * x - p)
+            bucket = np.minimum(x - (p + p * p // (4 * y - p)) // 4, 5)
+            cells.append(ps.searchsorted(p) * len(BUCKETS) + bucket - 1)
+        tally += np.bincount(np.concatenate(cells), minlength=tally.size)
+    return [tuple(row) for row in tally.reshape(-1, len(BUCKETS)).tolist()]
 
 
 def range_summary(
@@ -113,7 +141,7 @@ def range_summary(
     if work > _WORK_BOUND:
         raise ValueError(
             f"range [{r.lo}, {r.hi}] costs about {work / _WORK_BOUND:.1f}x "
-            "the stats work bound, the cost of [2, 200000] (about 45 s on one "
+            "the stats work bound, the cost of [2, 200000] (about 30 s on one "
             "worker); split it into narrower ranges"
         )
     primes = primes_in(r)

@@ -28,6 +28,13 @@ from straus.stats import range_summary
 ABOVE_ORACLE = [10009, 14159, 60013, 110017, 150011]
 
 
+def _flat_hits(primes):
+    """The (p, x, D) hits of enumeration._block_hits(primes), sorted, as
+    tuples of ints."""
+    return sorted(t for chunk in enumeration._block_hits(primes)
+                  for t in zip(*(a.tolist() for a in chunk)))
+
+
 class TestOracle:
     def test_17_gives_the_four_classics(self):
         assert enumerate_oracle(17).as_tuples() == [
@@ -116,9 +123,9 @@ class TestFast:
         # a round serves at most _CELL_BLOCK primes, so with 7 the 429 primes
         # go through the listed rounds 7 at a time
         primes = primes_in(PrimeRange(2, 3000))
-        whole = sorted(enumeration._block_hits(primes))
+        whole = _flat_hits(primes)
         monkeypatch.setattr(enumeration, "_CELL_BLOCK", 7)
-        assert sorted(enumeration._block_hits(primes)) == whole
+        assert _flat_hits(primes) == whole
 
     def test_rounds_of_a_lone_prime_start_at_the_floor(self, monkeypatch):
         # one prime below 2 * 10**5 (at most 196 listed columns) takes one or
@@ -334,6 +341,11 @@ class TestProgressions:
         assert FAST_LIMIT * x < 2**45
         assert (enumeration._CELL_BLOCK - 1) << 45 | (2**45 - 1) < 2**63
         assert u + u**2 < 6.1e15 < 2**63
+        # stats' bucket formula forms p**2 and px + D <= 2px at x <= 3p/4,
+        # then s = 4y - p < 4(px + D)
+        top = 2 * FAST_LIMIT * (3 * FAST_LIMIT // 4)
+        assert FAST_LIMIT**2 <= 10**14 < 2**63
+        assert top <= 1.5e14 and 4 * top < 10**15 < 2**63
 
     def test_enumeration_leaves_module_state_untouched(self):
         def state():

@@ -154,6 +154,15 @@ class TestRangeKernel:
             sum(b[i] for _p, b, _n_ii in expected) for i in range(5)
         ]
 
+    def test_block_tally_at_the_ceiling_equals_offset_x(self):
+        # the int64 bucket formula against core.offset_x on Python ints, at
+        # the largest prime the enumerator takes
+        p = 9999991
+        buckets = [0] * 5
+        for t in enumerate_fast(p):
+            buckets[min(offset_x(p, t.x, t.y), 5) - 1] += 1
+        assert stats._block_buckets([p]) == [tuple(buckets)]
+
     def test_every_tallied_row_is_checked(self, monkeypatch):
         self._every_tallied_row_is_checked(PrimeRange(2, 2000), monkeypatch)
 

@@ -1,3 +1,4 @@
+import gc
 import io
 import os
 import subprocess
@@ -455,6 +456,38 @@ class TestSweep:
         ledger = sweep("conj3-pattern", PrimeRange(2, 3000))
         assert ledger.unexpected() == ()  # 2 and 2521 are both <= p* = 2521
         assert ledger.unexpected(threshold=100) == (2521,)
+
+    @pytest.mark.parametrize("fails", [False, True])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_witness_sweep_pauses_the_collector_and_restores_it(self, enabled, fails,
+                                                                  monkeypatch):
+        # the blocks of a stored sweep run with the collector off; an unstored
+        # sweep leaves it as it is; either way the caller's setting is back
+        # after the sweep returns or raises
+        seen = []
+        check_block = verify._check_block
+
+        def spy(claim, store, primes):
+            seen.append((store, gc.isenabled()))
+            if fails:
+                raise RuntimeError("block failed")
+            return check_block(claim, store, primes)
+
+        monkeypatch.setattr(verify, "_check_block", spy)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for store in (True, False):
+                if fails:
+                    with pytest.raises(RuntimeError, match="block failed"):
+                        sweep("conj5-pattern", PrimeRange(2, 3000), store_witnesses=store)
+                else:
+                    sweep("conj5-pattern", PrimeRange(2, 3000), store_witnesses=store)
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert {s for s, _on in seen} == {True, False}
+        assert all(on == (enabled and not s) for s, on in seen), seen
 
     def test_witness_storage(self):
         ledger = sweep("conj3-pattern", PrimeRange(2, 100), store_witnesses=True)
