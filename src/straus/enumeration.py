@@ -7,9 +7,11 @@ other pairs as residue classes mod 4x - p or by walking the divisors of a few
 small numbers, all in numpy.  One driver, _block_hits, walks the columns of
 a block of primes and hands its hits out as int64 array chunks: stats
 tallies them unordered, and _solution_rows, behind enumerate_fast, solve
-and the claim checks, sorts one prime's hits into (x, y) order.  The listed columns, like verify's window cells, go in
-rounds that one scheduler lays out (_rounds).  enumerate_fast must reproduce
-the oracle, which exists so it can be checked against it wholesale.
+and the claim checks, sorts one prime's hits into (x, y) order.  Both check
+every hit with one exact certificate over the arrays (_certify) before they
+use it.  The listed columns, like verify's window cells, go in rounds that
+one scheduler lays out (_rounds).  enumerate_fast must reproduce the
+oracle, which exists so it can be checked against it wholesale.
 """
 
 from __future__ import annotations
@@ -226,21 +228,27 @@ def _int64_primes(primes: Sequence[int]):
 
 def _solution_rows(p: int) -> Iterator[tuple[int, int, int]]:
     """The solutions for the prime p as (x, y, z) ints in (x, y) order: the
-    hits of _block_hits([p]) lexsorted by (x, D), which is (x, y) order,
-    each turned into its row and checked by _row."""
+    hits of _block_hits([p]) lexsorted by (x, D), which is (x, y) order, and
+    certified together (_require_certified).  y = (px + D)/r comes from
+    int64, and z = (px + (px)**2/D)/r, up to about p**4, as a Python int."""
     import numpy as np  # here, not at module level: import straus stays numpy-free
 
-    _p, x, d = map(np.concatenate, zip(*_block_hits([p])))
+    ps, x, d = map(np.concatenate, zip(*_block_hits([p])))
     order = np.lexsort((d, x))
-    for x_i, d_i in zip(x[order].tolist(), d[order].tolist()):
-        yield _row(p, x_i, d_i)
+    x, d = x[order], d[order]  # ps holds p alone
+    _require_certified(ps, x, d)
+    y = (ps * x + d) // (4 * x - ps)
+    for x_i, y_i, d_i in zip(x.tolist(), y.tolist(), d.tolist()):
+        n = p * x_i
+        yield x_i, y_i, (n + n * n // d_i) // (4 * x_i - p)
 
 
 def _block_hits(primes: Sequence[int]) -> Iterator[tuple]:
     """(p, x, D) int64 arrays, chunk by chunk, for every solution (x, y, z)
     of every prime p in `primes`: D is the divisor of (px)**2 behind the
-    row, which _row turns into y and z and checks.  x <= y <= z and the
-    window p/4 < x <= 3p/4 hold by construction.
+    row, y = (px + D)/r and z = (px + (px)**2/D)/r with r = 4x - p.  The
+    hits are not checked here; each caller certifies them (_certify).
+    x <= y <= z and the window p/4 < x <= 3p/4 hold by construction.
 
     Per x-column 1/y + 1/z = r/N with r = 4x - p and N = px, so solutions
     correspond to divisor pairs d*e = N**2 with d <= N and r | (N + d),
@@ -557,10 +565,58 @@ def _progression_hits(segments: Sequence[tuple[int, int, int, int]]) -> tuple:
     return pk, ck, np.where(k < n, v, np.where(k < n + nb, square[k] // v, pk * v))
 
 
+def _certify(p, x, d):
+    """The boolean mask of the hits (p[i], x[i], d[i]), int64 arrays with
+    every p[i] >= 1, that are exact solutions.  With N = px and r = 4x - p,
+    a hit passes when r, D >= 1, D <= N, r | N + D, D | N**2 and
+    r | N + N**2/D.
+
+    Such a hit is a solution: y = (N + D)/r and z = (N + N**2/D)/r are
+    whole, and 1/y + 1/z = r/(N + D) + r*D/(N*(N + D)) = r/N = 4/p - 1/x,
+    so 4/p = 1/x + 1/y + 1/z exactly.  All of x, y, z are >= 1 (px >= D >= 1
+    with p >= 1 makes x >= 1), and D <= N gives y <= z.  D | N**2 is tested
+    as D/g | N with g = gcd(D, N), since D/g is coprime to N/g; then
+    N**2/D = (N/g)*(N/(D/g)), whose residue mod r is the product of its two
+    factors' residues.  For a prime p and x < p, r is coprime to N, and
+    D*(N + N**2/D) = N*(N + D), so once D | N**2 the first and last
+    divisibility tests agree; the last is kept so that no test needs a
+    prime.
+
+    int64 is exact for every hit with p <= FAST_LIMIT and x <= 3p/4, as
+    all of _block_hits' are: N <= 3p**2/4 < 2**47, N + D <= 2N < 2**48 for
+    D <= N, and r <= 2p < 2**25, so N plus a product of two residues stays
+    below 2**47 + 4p**2 < 2**49.  A hit with D < 1 or r < 1 is refused
+    without being divided by: its D and r are read as 1.
+    """
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
+    n = p * x
+    r = 4 * x - p
+    ok = (r >= 1) & (d >= 1) & (d <= n)
+    r = np.maximum(r, 1)
+    d = np.maximum(d, 1)
+    ok &= (n + d) % r == 0
+    g = np.gcd(d, n)
+    d_g = d // g
+    ok &= n % d_g == 0
+    ok &= (n + n // g % r * (n // d_g % r)) % r == 0
+    return ok
+
+
+def _require_certified(p, x, d) -> None:
+    """Raise ValueError at the first hit (p[i], x[i], d[i]), int64 arrays,
+    that _certify refuses."""
+    ok = _certify(p, x, d)
+    if not ok.all():
+        i = int(ok.argmin())
+        raise ValueError(f"not a solution: the hit p = {p[i]}, x = {x[i]}, D = {d[i]} "
+                         "fails the certificate")
+
+
 def _row(p: int, x: int, d: int) -> tuple[int, int, int]:
     """The row (x, y, z) of column x for the divisor d of (px)**2, with
     y = (px + d)/r and z = (px + (px)**2/d)/r, r = 4x - p, checked with
-    require_solution.  Every row of the enumerator passes through here."""
+    require_solution, for a hit of the listed rounds (_listed_rounds)."""
     r = 4 * x - p
     n = p * x
     y = (n + d) // r

@@ -17,21 +17,22 @@ pair of the round in int64; then the progression columns of all the
 block's primes, in calls that span primes.  The hits come as (p, x, D)
 int64 arrays, a chunk per walk, round or call, and every value stays exact
 in int64 up to enumeration.FAST_LIMIT (x**2 < 6.3 * 10**12 in the listed
-columns, u**2 < 6.1 * 10**15 in the walks).  Each row is checked
-(enumeration._row), and each chunk is bucketed in int64 and counted with
-one np.bincount, unsorted, since a bucket count does not depend on the
-order of the rows.  A range costs about the sum of its primes' costs.
+columns, u**2 < 6.1 * 10**15 in the walks).  The chunks are joined or cut
+into slices of at most _SLICE hits.  Each slice is checked by one exact
+certificate over the arrays (enumeration._certify), then bucketed in int64
+and counted with one np.bincount, unsorted, since a bucket count does not
+depend on the order of the rows.  A range costs about the sum of its
+primes' costs.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import log
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
-from .enumeration import FAST_LIMIT, _block_hits, _row
+from .enumeration import FAST_LIMIT, _block_hits, _require_certified
 from .parallel import blocks, pmap
 from .sieve import PrimeRange, primes_in
 from .sink import write_to
@@ -45,11 +46,11 @@ def _work(lo: int, hi: int) -> float:
     return (hi * hi - lo * lo) / (2 * log(hi))
 
 
-# A range within FAST_LIMIT can still run for long: [2, 10**5] takes 8.8-9.2 s
-# and [2, 200000] 30 s on one worker (fresh process, 2-vCPU box), so
-# [2, 10**6] would take about 11 min.  Ranges costing more than [2, 200000]
-# are refused; a narrow range at the top still runs: [9999900, 10**7],
-# 9 primes, takes 2.0-2.1 s on one worker.
+# A range within FAST_LIMIT can still run for long: [2, 10**5] takes 6.2-6.3 s
+# and [2, 200000] 25 s on one worker (two fresh processes each, 2-vCPU box),
+# so [2, 10**6] would take about 9 min.  Ranges costing more than
+# [2, 200000] are refused; a narrow range at the top still runs:
+# [9999900, 10**7], 9 primes, takes 1.8-1.9 s on one worker.
 _WORK_BOUND = _work(2, 200_000)
 
 
@@ -93,11 +94,31 @@ class DistTable:
         return self.counts[i] / self.total
 
 
-# _block_buckets checks and buckets a chunk's rows in slices of this many, so
-# that their Python ints and int64 temporaries stay small: the first listed
-# round of a block of small primes holds a quarter million hits, which in one
-# piece raised a block's traced peak memory from 25 to 49 MiB.
+# _block_buckets certifies and buckets a block's hits in slices of this many,
+# so that their int64 temporaries stay small: the first listed round of a
+# block of small primes holds a quarter million hits, which in one piece
+# raised a block's traced peak memory from 25 to 49 MiB.
 _SLICE = 1 << 13
+
+
+def _slices(chunks: Iterable[tuple]) -> Iterator[tuple]:
+    """The (p, x, D) int64 chunks as slices of at most _SLICE hits: a run of
+    chunks is joined until it holds _SLICE hits, then cut.  Near FAST_LIMIT
+    a block's progression calls yield thousands of chunks of a few hits
+    each, and a numpy call on each of them would cost more than its work."""
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
+    held, size = [], 0
+    for chunk in chunks:
+        held.append(chunk)
+        size += chunk[0].size
+        if size >= _SLICE:
+            joined = held[0] if len(held) == 1 else tuple(map(np.concatenate, zip(*held)))
+            for a in range(0, size, _SLICE):
+                yield tuple(v[a : a + _SLICE] for v in joined)
+            held, size = [], 0
+    if held:
+        yield tuple(map(np.concatenate, zip(*held)))
 
 
 def _block_buckets(primes: Sequence[int]) -> list[tuple[int, ...]]:
@@ -105,28 +126,26 @@ def _block_buckets(primes: Sequence[int]) -> list[tuple[int, ...]]:
     slice of primes_in) per offset bucket, in the order of `primes`; top
     level so range_summary can fork it.
 
-    Each chunk of _block_hits is bucketed in int64: y = (px + D)/r with
-    r = 4x - p, and, with s = 4y - p, the bucket
+    Each slice of _block_hits' hits is certified (a ValueError names the
+    first hit that fails enumeration._certify) and bucketed in int64:
+    y = (px + D)/r with r = 4x - p, and, with s = 4y - p, the bucket
     min(x - floor(py/s), 5) = min(x - (p + p**2 // s) // 4, 5), since
     py/s = (p + p**2/s)/4 and floor((a/s)/4) = floor(floor(a/s)/4).  At
     FAST_LIMIT p**2 = 10**14, px + D <= 2px <= 1.5 * 10**14 and
     s < 4y < 6 * 10**14, so every value stays below 10**15; py itself, up to
-    10**21, is never formed.  One np.bincount per chunk counts its
-    (prime, bucket) cells, and every row still passes _row's exact check.
+    10**21, is never formed.  One np.bincount per slice counts its
+    (prime, bucket) cells.
     """
     import numpy as np  # here, not at module level: import straus stays numpy-free
 
     ps = np.array(primes, dtype=np.int64)
     tally = np.zeros(ps.size * len(BUCKETS), dtype=np.int64)
-    for chunk in _block_hits(primes):
-        cells = [ps[:0]]
-        for a in range(0, chunk[0].size, _SLICE):
-            p, x, d = (v[a : a + _SLICE] for v in chunk)
-            deque(map(_row, p.tolist(), x.tolist(), d.tolist()), maxlen=0)
-            y = (p * x + d) // (4 * x - p)
-            bucket = np.minimum(x - (p + p * p // (4 * y - p)) // 4, 5)
-            cells.append(ps.searchsorted(p) * len(BUCKETS) + bucket - 1)
-        tally += np.bincount(np.concatenate(cells), minlength=tally.size)
+    for p, x, d in _slices(_block_hits(primes)):
+        _require_certified(p, x, d)
+        y = (p * x + d) // (4 * x - p)
+        bucket = np.minimum(x - (p + p * p // (4 * y - p)) // 4, 5)
+        tally += np.bincount(ps.searchsorted(p) * len(BUCKETS) + bucket - 1,
+                             minlength=tally.size)
     return [tuple(row) for row in tally.reshape(-1, len(BUCKETS)).tolist()]
 
 

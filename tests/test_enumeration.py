@@ -1,6 +1,7 @@
 import hashlib
 import io
 import time
+import warnings
 from collections import Counter, defaultdict
 from math import isqrt
 
@@ -98,9 +99,19 @@ class TestFast:
             assert list(_solution_rows(p)) == enumerate_fast(p).as_tuples()
 
     def test_per_prime_row_failing_the_identity_raises(self, monkeypatch):
-        # the rows share Triple's check, so the failure comes before any Triple
+        # each certified row is checked again as a Triple
         monkeypatch.setattr(core, "check_identity", lambda *row: False)
         with pytest.raises(ValueError, match=r"not a solution: 4/17 != 1/5 \+ 1/30 \+ 1/510"):
+            enumerate_fast(17)
+
+    def test_per_prime_row_failing_the_certificate_raises(self, monkeypatch):
+        # the prime's hits are certified together, in (x, y) order, before
+        # its first row: refusing the second, (5, 34, 170) with D = 17, stops
+        # the first as well
+        certify = enumeration._certify
+        monkeypatch.setattr(enumeration, "_certify",
+                            lambda p, x, d: certify(p, x, d) & (np.arange(p.size) != 1))
+        with pytest.raises(ValueError, match="not a solution: the hit p = 17, x = 5, D = 17 "):
             next(_solution_rows(17))
 
     def test_column_blocks_yield_the_same_rows(self, monkeypatch):
@@ -356,6 +367,70 @@ class TestProgressions:
         assert len(enumerate_fast(199999)) > 0
         assert range_summary(PrimeRange(2, 3000), workers=1)[0].total > 0
         assert state() == before
+
+
+def _certificate(p, x, d):
+    """enumeration._certify's definition, on the Python ints of one hit."""
+    n, r = p * x, 4 * x - p
+    return (r >= 1 and 1 <= d <= n and (n + d) % r == 0
+            and n * n % d == 0 and (n + n * n // d) % r == 0)
+
+
+def _hit_row(p, x, d):
+    """The row (p, x, y, z) of the hit (p, x, D), as Python ints."""
+    n, r = p * x, 4 * x - p
+    return p, x, (n + d) // r, (n + n * n // d) // r
+
+
+class TestCertificate:
+    @staticmethod
+    def _certified(p, x, d):
+        """enumeration._certify(p, x, d), which must raise no numpy warning,
+        and its verdicts with the hits as Python ints."""
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            ok = enumeration._certify(p, x, d)
+        return list(zip(zip(p.tolist(), x.tolist(), d.tolist()), ok.tolist()))
+
+    # each mutant is applied to every hit of [2, 3000]
+    MUTANTS = {
+        "D + 1": lambda p, x, d: (p, x, d + 1),
+        "D - 1": lambda p, x, d: (p, x, d - 1),  # D = 1 becomes 0
+        "2D": lambda p, x, d: (p, x, 2 * d),
+        "x + 1": lambda p, x, d: (p, x + 1, d),
+        "x - 1": lambda p, x, d: (p, x - 1, d),  # a first column gets r <= 0
+    }
+
+    @pytest.mark.parametrize("mutant", MUTANTS)
+    def test_every_mutated_hit_it_accepts_is_a_solution(self, mutant):
+        hits = map(np.concatenate, zip(*enumeration._block_hits(primes_in(PrimeRange(2, 3000)))))
+        verdicts = self._certified(*self.MUTANTS[mutant](*hits))
+        accepted = [hit for hit, ok in verdicts if ok]
+        assert 0 < len(accepted) < len(verdicts)
+        for hit, ok in verdicts:
+            assert ok == _certificate(*hit), hit
+        for hit in accepted:
+            assert check_identity(*_hit_row(*hit)), hit
+
+    def test_equals_its_definition_on_every_small_hit(self):
+        # every (p, x, D) with 1 <= p <= 30, 0 <= x <= p and -1 <= D <= px + 1,
+        # p composite too: for a prime p and x < p, r is coprime to px, so
+        # once D | (px)**2, r | px + D gives r | px + (px)**2/D; (6, 3, 12)
+        # passes the first two divisibility tests and fails the last
+        hits = np.array([(p, x, d) for p in range(1, 31) for x in range(p + 1)
+                         for d in range(-1, p * x + 2)]).T
+        verdicts = self._certified(*hits)
+        assert ((6, 3, 12), False) in verdicts
+        for hit, ok in verdicts:
+            assert ok == _certificate(*hit), hit
+            assert not ok or check_identity(*_hit_row(*hit)), hit
+
+    def test_accepts_every_hit_at_the_ceiling(self):
+        hits = map(np.concatenate, zip(*enumeration._block_hits([9999991])))
+        verdicts = self._certified(*hits)
+        assert len(verdicts) == 469
+        for hit, ok in verdicts:
+            assert ok and check_identity(*_hit_row(*hit)), hit
 
 
 class TestRangeKernel:

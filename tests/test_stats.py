@@ -11,9 +11,9 @@ import pytest
 from range_kernel import iter_range_solutions
 
 import straus
-from straus import core, enumeration, parallel, stats
+from straus import enumeration, parallel, stats
 from straus.core import Triple, classify, offset_x
-from straus.enumeration import FAST_LIMIT, enumerate_fast
+from straus.enumeration import FAST_LIMIT, _solution_rows, enumerate_fast
 from straus.sieve import PrimeRange, primes_in
 from straus.stats import (
     DistTable,
@@ -172,13 +172,21 @@ class TestRangeKernel:
 
     @staticmethod
     def _every_tallied_row_is_checked(r, monkeypatch):
-        identity, checked = core.check_identity, []
-        monkeypatch.setattr(core, "check_identity",
-                            lambda *row: checked.append(row) or identity(*row))
+        # every tallied hit passes through enumeration._certify, accepted, and
+        # a certificate refusing one hit, the last row of the range's last
+        # prime, makes the range raise
+        p = primes_in(r)[-1]
+        x, y, _z = list(_solution_rows(p))[-1]
+        d = (4 * x - p) * y - p * x
+        certify, verdicts = enumeration._certify, []
+        monkeypatch.setattr(enumeration, "_certify",
+                            lambda *hits: verdicts.append(certify(*hits)) or verdicts[-1])
         table = distribution(r)
-        assert len(checked) == table.total
-        monkeypatch.setattr(core, "check_identity", lambda *row: False)
-        with pytest.raises(ValueError, match="not a solution"):
+        assert sum(v.size for v in verdicts) == table.total
+        assert all(v.all() for v in verdicts)
+        monkeypatch.setattr(enumeration, "_certify", lambda ps, xs, ds: certify(ps, xs, ds)
+                            & ~((ps == p) & (xs == x) & (ds == d)))
+        with pytest.raises(ValueError, match=f"not a solution: the hit p = {p}, x = {x}, D = {d} "):
             range_summary(r)
 
     def test_a_few_costly_primes_still_fork(self, monkeypatch):
