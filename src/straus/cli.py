@@ -19,7 +19,7 @@ from . import grid as grid_mod
 from . import stats as stats_mod
 from . import verify as verify_mod
 from .core import Triple, classify
-from .enumeration import enumerate_fast, write_solutions_csv
+from .enumeration import enumerate_labelled, write_solutions_csv
 from .parallel import default_workers
 from .sieve import PrimeRange
 from .sink import write_to
@@ -95,9 +95,9 @@ def _workers(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    solutions = enumerate_fast(args.p)
+    solutions, labels = enumerate_labelled(args.p)
     rows = [f"# p={args.p}: {len(solutions)} solutions"]
-    rows += [f"{t.x} {t.y} {t.z} {classify(t).labels()}" for t in solutions]
+    rows += [f"{t.x} {t.y} {t.z} {label}" for t, label in zip(solutions, labels)]
     sys.stdout.write("\n".join(rows) + "\n")  # one write, not one per row
     if args.out:
         write_solutions_csv([solutions], args.out)

@@ -108,6 +108,11 @@ def offset_x(p: int, x: int, y: int) -> int:
     return x - (p * y) // (4 * y - p)
 
 
+# Classification.labels() by the number of boundaries a solution is adjacent
+# to: none (II), x's (I(b)), or both, since I(a) implies I(b).
+TYPE_LABELS = ("II", "I(b)", "I(a)+I(b)")
+
+
 @dataclass(frozen=True)
 class Classification:
     """Boundary placement of a solution.
@@ -130,11 +135,7 @@ class Classification:
 
     def labels(self) -> str:
         """Human-readable type tag, e.g. 'I(a)+I(b)', 'I(b)', 'II'."""
-        if self.is_ia:
-            return "I(a)+I(b)"
-        if self.is_ib:
-            return "I(b)"
-        return "II"
+        return TYPE_LABELS[2 if self.is_ia else self.is_ib]
 
 
 def classify(t: Triple) -> Classification:

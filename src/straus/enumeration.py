@@ -10,7 +10,10 @@ tallies them unordered, and _solution_rows, behind enumerate_fast, solve
 and the claim checks, sorts one prime's hits into (x, y) order.  Both check
 every hit with one exact certificate over the arrays (_certify) before they
 use it.  The listed columns, like verify's window cells, go in rounds that
-one scheduler lays out (_rounds).  enumerate_fast must reproduce the
+one scheduler lays out (_rounds).  The progression columns and the listed
+pairs are tested in work arrays kept from call to call (_work), so that a
+call faults in no fresh pages.  enumerate_labelled reads solve's type
+labels off the same certified arrays.  enumerate_fast must reproduce the
 oracle, which exists so it can be checked against it wholesale.
 """
 
@@ -23,17 +26,17 @@ from math import isqrt
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
-from .core import Triple, next_boundary, require_solution
+from .core import TYPE_LABELS, Triple, next_boundary, require_solution
 from .sieve import PrimeRange, primes_in, require_prime
 from .sink import write_to
 
 ORACLE_LIMIT = 10_000
-# `straus solve 9999991` takes 0.49-0.55 s on one core at 42 MiB peak RSS
-# (2-vCPU box, Python 3.11, numpy 2.4); the time grows like p, and the memory
-# stays flat because every numpy step is bounded: the listed rounds and the
-# walks factor and test at most _CELL_BLOCK numbers or pairs at a time, and the
-# progression pass runs in blocks of _COLUMN_BLOCK columns and _CELL_BLOCK
-# candidates.
+# `straus solve 9999991` takes 0.52-0.78 s on one core at 42 MiB peak RSS
+# (four fresh-process runs, 2-vCPU box, Python 3.11, numpy 2.4); the time
+# grows like p, and the memory stays flat because every numpy step is
+# bounded: the listed rounds and the walks factor and test at most
+# _CELL_BLOCK numbers or pairs at a time, and the progression pass runs in
+# blocks of _COLUMN_BLOCK columns and _CELL_BLOCK candidates.
 FAST_LIMIT = 10_000_000
 
 # The progression pass spans 2.4 M columns at FAST_LIMIT and lays up to 3 * 64
@@ -42,6 +45,11 @@ FAST_LIMIT = 10_000_000
 # column), and each numpy test covers at most _CELL_BLOCK candidates.
 _COLUMN_BLOCK = 1 << 14
 _CELL_BLOCK = 1 << 16
+
+# The work arrays of _progression_hits and _pair_keys by name (_work), kept
+# from call to call so that a call writes into pages the process already
+# holds.
+_WORK: dict = {}
 
 # The largest number the enumerator factors: the walks factor u = (m*p + 1)/4,
 # m <= 31, for p <= FAST_LIMIT, and the listed columns x <= 64p/255 lie below
@@ -209,6 +217,16 @@ def iter_solutions_fast(p: int) -> Iterator[Triple]:
         yield Triple(p, x, y, z)
 
 
+def enumerate_labelled(p: int) -> tuple[SolutionSet, list[str]]:
+    """enumerate_fast(p) and each solution's type label, classify(t).labels(),
+    read off the certified hit arrays (_type_labels) instead of classifying
+    each Triple."""
+    require_prime(p)
+    rows = list(_solution_rows(p, labels=True))
+    triples = tuple(Triple(p, x, y, z) for x, y, z, _label in rows)
+    return SolutionSet(p, triples), [row[3] for row in rows]
+
+
 def _edges(p):
     """(listed_to, band_to) for p, an int or an int64 array of primes: the
     last x with x > 64(4x - p), the last listed column, and the last x with
@@ -226,11 +244,12 @@ def _int64_primes(primes: Sequence[int]):
     return np.array(primes, dtype=np.int64)
 
 
-def _solution_rows(p: int) -> Iterator[tuple[int, int, int]]:
+def _solution_rows(p: int, labels: bool = False) -> Iterator[tuple]:
     """The solutions for the prime p as (x, y, z) ints in (x, y) order: the
     hits of _block_hits([p]) lexsorted by (x, D), which is (x, y) order, and
     certified together (_require_certified).  y = (px + D)/r comes from
-    int64, and z = (px + (px)**2/D)/r, up to about p**4, as a Python int."""
+    int64, and z = (px + (px)**2/D)/r, up to about p**4, as a Python int.
+    With labels, each row ends with its type label (_type_labels)."""
     import numpy as np  # here, not at module level: import straus stays numpy-free
 
     ps, x, d = map(np.concatenate, zip(*_block_hits([p])))
@@ -238,9 +257,49 @@ def _solution_rows(p: int) -> Iterator[tuple[int, int, int]]:
     x, d = x[order], d[order]  # ps holds p alone
     _require_certified(ps, x, d)
     y = (ps * x + d) // (4 * x - ps)
-    for x_i, y_i, d_i in zip(x.tolist(), y.tolist(), d.tolist()):
+    columns = [x.tolist(), y.tolist(), d.tolist()]
+    if labels:
+        columns.append(_type_labels(ps, x, d))
+    for x_i, y_i, d_i, *label in zip(*columns):
         n = p * x_i
-        yield x_i, y_i, (n + n * n // d_i) // (4 * x_i - p)
+        yield x_i, y_i, (n + n * n // d_i) // (4 * x_i - p), *label
+
+
+def _offsets(p, x, d):
+    """(offset_x, offset_y) of the certified hits (p, x, D), int64 arrays:
+    with r = 4x - p, y = (px + D)/r and s = 4y - p,
+    - offset_x = x - floor(py/s) = x - (p + p**2 // s) // 4, since
+      py/s = (p + p**2/s)/4 and floor((a/s)/4) = floor(floor(a/s)/4);
+    - offset_y = y - floor(px/r) = ceil(D/r), since ry = px + D.
+    int64 is exact for every hit of _block_hits: at FAST_LIMIT
+    p**2 = 10**14, px + D <= 2px <= 1.5 * 10**14 and s < 4y < 6 * 10**14,
+    so every value stays below 10**15; py itself, up to 10**21, is never
+    formed.  The same formulas hold for Python ints.
+    """
+    r = 4 * x - p
+    s = 4 * ((p * x + d) // r) - p
+    return x - (p + p * p // s) // 4, -(-d // r)
+
+
+def _type_labels(p, x, d) -> list[str]:
+    """classify(t).labels() for each certified hit (p, x, D), int64 arrays,
+    from _offsets: I(a) iff offset_y = 1 and I(b) iff offset_x = 1.
+    classify's checks hold over the arrays: at the first hit with an offset
+    below 1, or I(a) without I(b), the AssertionError classify raises,
+    naming that hit's Triple."""
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
+    off_x, off_y = _offsets(p, x, d)
+    is_ia, is_ib = off_y == 1, off_x == 1
+    below = (off_x < 1) | (off_y < 1)
+    bad = below | is_ia & ~is_ib
+    if bad.any():
+        i = int(bad.argmax())
+        p_i = int(p[i])
+        t = Triple(p_i, *_row(p_i, int(x[i]), int(d[i])))
+        raise AssertionError(f"solution on or below the boundary is impossible: {t}" if below[i]
+                             else f"type I(a) without I(b) contradicts boundary algebra: {t}")
+    return np.array(TYPE_LABELS, dtype=object)[np.where(is_ia, 2, is_ib)].tolist()
 
 
 def _block_hits(primes: Sequence[int]) -> Iterator[tuple]:
@@ -406,8 +465,8 @@ def _pair_keys(cx, cp, cols, n_cols, owner, div) -> list:
     (indices into the round's cx and cp) grouped by x, n_cols[i] of them
     for x number i of the chunk, whose divisors of x**2 are div[owner == i].
     Every column meets every divisor of its x**2, at most _CELL_BLOCK pairs
-    at a time, and a pair hits as d with r | px + d, and as p*d with d <= x
-    and r | px + p*d (r = 4x - p)."""
+    at a time, in work arrays (_work), and a pair hits as d with r | px + d,
+    and as p*d with d <= x and r | px + p*d (r = 4x - p)."""
     import numpy as np  # here, not at module level: import straus stays numpy-free
 
     n_div = np.bincount(owner)
@@ -418,17 +477,29 @@ def _pair_keys(cx, cp, cols, n_cols, owner, div) -> list:
     keys = []
     for g0 in range(0, int(edges[-1]), _CELL_BLOCK):
         g1 = min(g0 + _CELL_BLOCK, int(edges[-1]))
-        i0, i1 = edges.searchsorted([g0, g1 - 1], side="right") - 1
-        span = edges[i0 : i1 + 2]
-        i = np.arange(i0, i1 + 1).repeat(np.minimum(span[1:], g1) - np.maximum(span[:-1], g0))
-        d = div[np.arange(g0, g1) + shift[i]]
-        i = cols[i]
-        x, p = cx[i], cp[i]
-        r = 4 * x - p
-        n = p * x
-        hit = (n + d) % r == 0
+        size = g1 - g0
+        i = _owners(edges, g0, g1)
+        t = np.take(shift, i, out=_work("t", size), mode="clip")
+        t += g0
+        t += _iota(size)
+        d = np.take(div, t, out=_work("v", size), mode="clip")
+        np.take(cols, i, out=t, mode="clip")
+        i = t  # the pair's column in the round
+        x = np.take(cx, i, out=_work("x", size), mode="clip")
+        p = np.take(cp, i, out=_work("p", size), mode="clip")
+        r = np.multiply(x, 4, out=_work("r", size))
+        r -= p
+        n = np.multiply(p, x, out=_work("n", size))
+        u = np.add(n, d, out=_work("u", size))
+        u %= r
+        hit = np.flatnonzero(np.equal(u, 0, out=_work("hit", size, "bool")))
         keys.append(i[hit] << 45 | d[hit])
-        hit = (d <= x) & ((n + p * d) % r == 0)
+        np.multiply(p, d, out=u)
+        u += n
+        u %= r
+        hit = np.equal(u, 0, out=_work("hit", size, "bool"))
+        hit &= np.less_equal(d, x, out=_work("ok", size, "bool"))
+        hit = np.flatnonzero(hit)
         keys.append(i[hit] << 45 | p[hit] * d[hit])
     return keys
 
@@ -495,6 +566,58 @@ def _d0_walk_hits(ps):
     return tuple(map(np.concatenate, zip(*hits)))
 
 
+def _work(name: str, size: int, dtype: str = "int64"):
+    """The first `size` entries of the work array `name`, kept in _WORK:
+    made on first use, with room for a whole call (3 * _COLUMN_BLOCK + 1
+    columns or _CELL_BLOCK cells or pairs), and made again only for a call
+    that needs more.  It holds what the last call left there, so each
+    caller writes an entry before it reads it."""
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
+    a = _WORK.get(name)
+    if a is None or a.size < size:
+        a = _WORK[name] = np.empty(max(size, 3 * _COLUMN_BLOCK + 1, _CELL_BLOCK), dtype=dtype)
+    return a[:size]
+
+
+def _iota(size: int):
+    """0, 1, ..., size - 1 as int64, a view of one kept array."""
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
+    a = _WORK.get("iota")
+    if a is None or a.size < size:
+        a = _WORK["iota"] = np.arange(max(size, _CELL_BLOCK), dtype=np.int64)
+    return a[:size]
+
+
+def _runs(out, jump, firsts, size, inc):
+    """Fill `out` (and use `jump`, int64 arrays of size.sum() entries) with
+    runs of arithmetic progressions, run i holding size[i] >= 1 values from
+    firsts[i] up by inc: the cumulative sum of inc, but at each run's first
+    entry the jump from the run before."""
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
+    jump.fill(inc)
+    jump[0] = firsts[0]
+    jump[np.cumsum(size[:-1])] = firsts[1:] - firsts[:-1] - inc * (size[:-1] - 1)
+    return np.cumsum(jump, out=out)
+
+
+def _owners(edges, c0, c1):
+    """For the cells c0 <= c < c1 of a run whose item j owns the cells
+    edges[j] <= c < edges[j + 1] (edges strictly increasing, edges[0] = 0),
+    the owning item of each, as the work array "j" (_work): the item of
+    cell c0, up by one at each later item's first cell."""
+    import numpy as np  # here, not at module level: import straus stays numpy-free
+
+    j0, j1 = np.searchsorted(edges, [c0, c1 - 1], side="right") - 1  # of the first, last cell
+    j = _work("j", c1 - c0)
+    j.fill(0)
+    j[np.subtract(edges[j0 + 1 : j1 + 1], c0, out=_work("starts", j1 - j0))] = 1
+    j[0] = j0
+    return np.cumsum(j, out=j)
+
+
 def _progression_hits(segments: Sequence[tuple[int, int, int, int]]) -> tuple:
     """(p, x, D) int64 arrays for the divisors D of (p*x)**2 that give
     solutions in the column segments (p, lo, hi, band_to), each the columns
@@ -516,6 +639,13 @@ def _progression_hits(segments: Sequence[tuple[int, int, int, int]]) -> tuple:
     cells [edges[j], edges[j+1]), and each numpy test covers at most
     _CELL_BLOCK cells.
 
+    Every array of a column, a live progression or a cell is a work array
+    (_work) written in place, through out= and in-place operators: a fresh
+    temporary of that size gets pages the allocator has handed back to the
+    system since the last call, so each call would fault in hundreds of
+    pages.  What is still made per call holds one entry per segment, per
+    live progression (the index `live`) or per hit.
+
     int64 is exact: at FAST_LIMIT, x <= p/2, so 4x**2 <= p**2 = 10**14
     < 2**47; a call has at most 3 * _COLUMN_BLOCK progressions of at most
     64 values, so c*r with c < 3 * 64 * _COLUMN_BLOCK < 2**24 cells and
@@ -527,38 +657,67 @@ def _progression_hits(segments: Sequence[tuple[int, int, int, int]]) -> tuple:
     band = [(p, lo, min(hi, b + 1)) for p, lo, hi, b in segments if lo <= b]
     ps, los, his = np.array([s[:3] for s in segments] + band + band, dtype=np.int64).T
     size = his - los
-    ends = np.cumsum(size)
-    col = np.arange(ends[-1], dtype=np.int64)  # in place below: fewer fresh pages
-    col += np.repeat(los - ends + size, size)
-    step = 4 * col
-    step -= np.repeat(ps, size)  # r = 4x - p
-    n = int(ends[len(segments) - 1])
-    nb = (len(col) - n) // 2
-    x, r, bx, br = col[:n], step[:n], col[n : n + nb], step[n : n + nb]
-    e0 = (br % 4 * br - 1) // 4  # 4*e0 + 1 = m*r, m = -p % 4 = r % 4
+    total = int(size.sum())
+    n = int(size[: len(segments)].sum())
+    nb = (total - n) // 2
+    tmp = _work("tmp", total)
+    col = _runs(_work("col", total), tmp, los, size, 1)
+    step = _runs(_work("step", total), tmp, 4 * los - ps, size, 4)  # r = 4x - p
+    square = np.multiply(col, col, out=_work("square", total))
     # the least positive member of each class (p*x = 4*x**2 mod r), and the
     # largest value allowed: x, or x - 1 for e < x
-    first = np.concatenate([r - 4 * x * x % r, (e0 - 1) % br + 1, br - bx % br])
-    last = np.concatenate([x, bx - 1, bx])
-    square = col * col
-    k = np.flatnonzero((first <= last) & (square % first == 0))
+    first, last = _work("first", total), _work("last", total)
+    r, f = step[:n], first[:n]  # d = -4x**2
+    np.multiply(square[:n], 4, out=f)
+    f %= r
+    np.subtract(r, f, out=f)
+    bx, br = col[n : n + nb], step[n : n + nb]
+    f = first[n : n + nb]  # e = e0 - r, 4*e0 + 1 = m*r, m = -p % 4 = r % 4
+    np.remainder(br, 4, out=f)
+    f *= br
+    f -= 5
+    f //= 4
+    f %= br
+    f += 1
+    f = first[n + nb :]  # d0 = -x
+    np.remainder(bx, br, out=f)
+    np.subtract(br, f, out=f)
+    np.copyto(last, col)
+    last[n : n + nb] -= 1
+    hit, ok = _work("hit", total, "bool"), _work("ok", total, "bool")
+    np.equal(np.remainder(square, first, out=tmp), 0, out=hit)
+    hit &= np.less_equal(first, last, out=ok)
+    k = np.flatnonzero(hit)
     found_k, found_v = [k], [first[k]]  # the hits: progression, candidate
     # cells 1 and up, of the live progressions: cell c of live progression j
     # holds base[j] + c*live_step[j]
-    live = np.flatnonzero(first + step <= last)
-    live_first, live_step, live_square = first[live], step[live], square[live]
-    count = (last[live] - live_first) // live_step
-    edges = np.concatenate([[0], np.cumsum(count)])
-    base = live_first + (1 - edges[:-1]) * live_step
+    live = np.flatnonzero(np.less_equal(np.add(first, step, out=tmp), last, out=hit))
+    m = live.size
+    live_step = np.take(step, live, out=_work("live_step", m), mode="clip")
+    live_square = np.take(square, live, out=_work("live_square", m), mode="clip")
+    base = np.take(first, live, out=_work("base", m), mode="clip")
+    count = np.take(last, live, out=tmp[:m], mode="clip")
+    count -= base
+    count //= live_step
+    edges = _work("edges", m + 1)
+    edges[0] = 0
+    np.cumsum(count, out=edges[1:])
+    np.subtract(1, edges[:-1], out=count)
+    count *= live_step
+    base += count
     cells = int(edges[-1])
     for c0 in range(0, cells, _CELL_BLOCK):
         c1 = min(c0 + _CELL_BLOCK, cells)
-        j0, j1 = np.searchsorted(edges, [c0, c1 - 1], side="right") - 1  # of the first, last cell
-        j = np.repeat(np.arange(j0, j1 + 1), np.diff(np.clip(edges[j0 : j1 + 2], c0, c1)))
-        v = base[j] + np.arange(c0, c1) * live_step[j]
-        hit = np.flatnonzero(live_square[j] % v == 0)
-        found_k.append(live[j[hit]])
-        found_v.append(v[hit])
+        j = _owners(edges, c0, c1)
+        v, t = _work("v", c1 - c0), _work("t", c1 - c0)
+        np.add(_iota(c1 - c0), c0, out=v)
+        v *= np.take(live_step, j, out=t, mode="clip")
+        v += np.take(base, j, out=t, mode="clip")
+        np.take(live_square, j, out=t, mode="clip")
+        t %= v
+        h = np.flatnonzero(np.equal(t, 0, out=_work("hit", c1 - c0, "bool")))
+        found_k.append(live[j[h]])
+        found_v.append(v[h])
     k, v = np.concatenate(found_k), np.concatenate(found_v)
     ck = col[k]
     pk = 4 * ck - step[k]  # progression k steps by its column's r = 4x - p

@@ -98,7 +98,8 @@ class GridImage:
 
 
 def build_grid(p: int, x_max: int, y_max: int) -> GridImage:
-    """Classify every cell in bounds (row-wise, incremental arithmetic)."""
+    """Classify every cell in bounds (row-wise, incremental arithmetic; each
+    row's Yellow prefix in one step)."""
     require_prime(p)
     if x_max < 1 or y_max < 1:
         raise ValueError(f"bounds must be >= 1, got ({x_max}, {y_max})")
@@ -112,14 +113,15 @@ def build_grid(p: int, x_max: int, y_max: int) -> GridImage:
     rows = []
     for y in range(1, y_max + 1):
         limit = min(x_max, y)  # x > y is White, fill after the loop
-        row = []
-        d = 4 * y - p * (1 + y)  # D at x = 1
+        # D = x*step - p*y <= 0, Yellow, for every x when step <= 0 and
+        # otherwise up to floor(p*y/step): one prefix, no per-cell test
         step = 4 * y - p
-        px = p
-        for _x in range(1, limit + 1):
-            if d <= 0:
-                row.append(yellow)
-            elif px < d:
+        first = limit + 1 if step <= 0 else min(limit, p * y // step) + 1
+        row = [yellow] * (first - 1)
+        d = first * step - p * y  # D at x = first, > 0 from here on
+        px = p * first
+        for _x in range(first, limit + 1):
+            if px < d:
                 row.append(white)
             elif (px * y) % d == 0:
                 row.append(pink)

@@ -32,7 +32,7 @@ from math import log
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
-from .enumeration import FAST_LIMIT, _block_hits, _require_certified
+from .enumeration import FAST_LIMIT, _block_hits, _offsets, _require_certified
 from .parallel import blocks, pmap
 from .sieve import PrimeRange, primes_in
 from .sink import write_to
@@ -127,14 +127,10 @@ def _block_buckets(primes: Sequence[int]) -> list[tuple[int, ...]]:
     level so range_summary can fork it.
 
     Each slice of _block_hits' hits is certified (a ValueError names the
-    first hit that fails enumeration._certify) and bucketed in int64:
-    y = (px + D)/r with r = 4x - p, and, with s = 4y - p, the bucket
-    min(x - floor(py/s), 5) = min(x - (p + p**2 // s) // 4, 5), since
-    py/s = (p + p**2/s)/4 and floor((a/s)/4) = floor(floor(a/s)/4).  At
-    FAST_LIMIT p**2 = 10**14, px + D <= 2px <= 1.5 * 10**14 and
-    s < 4y < 6 * 10**14, so every value stays below 10**15; py itself, up to
-    10**21, is never formed.  One np.bincount per slice counts its
-    (prime, bucket) cells.
+    first hit that fails enumeration._certify) and bucketed in int64, as
+    min(offset_x, 5) (enumeration._offsets, which solve's type labels
+    read as well).  One np.bincount per slice counts its (prime, bucket)
+    cells.
     """
     import numpy as np  # here, not at module level: import straus stays numpy-free
 
@@ -142,8 +138,7 @@ def _block_buckets(primes: Sequence[int]) -> list[tuple[int, ...]]:
     tally = np.zeros(ps.size * len(BUCKETS), dtype=np.int64)
     for p, x, d in _slices(_block_hits(primes)):
         _require_certified(p, x, d)
-        y = (p * x + d) // (4 * x - p)
-        bucket = np.minimum(x - (p + p * p // (4 * y - p)) // 4, 5)
+        bucket = np.minimum(_offsets(p, x, d)[0], 5)
         tally += np.bincount(ps.searchsorted(p) * len(BUCKETS) + bucket - 1,
                              minlength=tally.size)
     return [tuple(row) for row in tally.reshape(-1, len(BUCKETS)).tolist()]
@@ -160,8 +155,8 @@ def range_summary(
     if work > _WORK_BOUND:
         raise ValueError(
             f"range [{r.lo}, {r.hi}] costs about {work / _WORK_BOUND:.1f}x "
-            "the stats work bound, the cost of [2, 200000] (about 30 s on one "
-            "worker); split it into narrower ranges"
+            "the stats work bound, the cost of [2, 200000]; split it into "
+            "narrower ranges"
         )
     primes = primes_in(r)
     per_prime = [b for block in pmap(_block_buckets, blocks(primes, workers, primes), workers)

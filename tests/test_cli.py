@@ -4,7 +4,9 @@ import pytest
 
 from straus import cli, parallel
 from straus.cli import main
-from straus.core import check_identity
+from straus.core import Triple, check_identity, classify
+from straus.sieve import PrimeRange, primes_in
+from test_enumeration import ABOVE_ORACLE
 
 
 def run(capsys, *argv):
@@ -25,6 +27,18 @@ class TestSolve:
             "6 15 510 I(a)+I(b)",
             "6 17 102 I(b)",
         ]
+
+    def test_labels_equal_classify(self, capsys):
+        # every printed label, read off the certified arrays, is the one
+        # classify gives the row's Triple; p = 2's (1, 2, 2) is the one row
+        # with D = r = 4x - p
+        for p in primes_in(PrimeRange(2, 3000)) + ABOVE_ORACLE:
+            code, out, _ = run(capsys, "solve", str(p))
+            assert code == 0
+            rows = [line.split() for line in out.splitlines()[1:]]
+            assert [label for *_xyz, label in rows] == [
+                classify(Triple(p, *map(int, xyz))).labels() for *xyz, _label in rows
+            ], p
 
     def test_csv_dump(self, capsys, tmp_path):
         dest = tmp_path / "sols.csv"

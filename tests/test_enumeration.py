@@ -1,5 +1,10 @@
 import hashlib
 import io
+import os
+import re
+import resource
+import subprocess
+import sys
 import time
 import warnings
 from collections import Counter, defaultdict
@@ -18,6 +23,7 @@ from straus.enumeration import (
     _solution_rows,
     _square_divisors,
     enumerate_fast,
+    enumerate_labelled,
     enumerate_oracle,
     write_solutions_csv,
 )
@@ -114,6 +120,27 @@ class TestFast:
         with pytest.raises(ValueError, match="not a solution: the hit p = 17, x = 5, D = 17 "):
             next(_solution_rows(17))
 
+    def test_labelled_rows_are_the_triples(self):
+        for p in [2, 3, 17, 193, 1009]:
+            solutions, labels = enumerate_labelled(p)
+            assert solutions == enumerate_fast(p)
+            assert labels == [core.classify(t).labels() for t in solutions]
+
+    def test_labels_keep_classify_checks(self, monkeypatch):
+        # 17's third row, (6, 15, 510), is I(a)+I(b); its offset_x raised to
+        # 2 makes it I(a) without I(b), lowered to 0 puts it on the boundary
+        offsets = enumeration._offsets
+        for shift, message in [(1, "type I(a) without I(b) contradicts boundary algebra"),
+                               (-1, "solution on or below the boundary is impossible")]:
+            def shifted(p, x, d, shift=shift):
+                off_x, off_y = offsets(p, x, d)
+                return off_x + shift * (np.arange(p.size) == 2), off_y
+
+            monkeypatch.setattr(enumeration, "_offsets", shifted)
+            with pytest.raises(AssertionError, match=re.escape(
+                    f"{message}: Triple(p=17, x=6, y=15, z=510)")):
+                enumerate_labelled(17)
+
     def test_column_blocks_yield_the_same_rows(self, monkeypatch):
         # the numpy pass spans several blocks only from p near 66 000; blocks
         # of 7 columns cut each prime's progression columns into many calls
@@ -179,6 +206,56 @@ class TestFast:
         assert hits.count(p) == 1 and other in hits
         assert columns - set().union(*rounds[:at]) and rounds[at:], rounds
         assert not columns & set().union(*rounds[at:])
+
+
+def _digest(primes):
+    """SHA-256 of _flat_hits(primes)."""
+    return hashlib.sha256(repr(_flat_hits(primes)).encode()).hexdigest()
+
+
+# _block_hits inputs of very different sizes for the kept work arrays: a
+# prime whose progression pass takes three calls, a small prime, a block of
+# 430 primes whose calls span primes, and a prime near perfbench's p75
+_WORK_BLOCKS = [[150011], [1009], primes_in(PrimeRange(2, 3000)), [59263]]
+
+
+class TestWorkArrays:
+    def test_interleaved_calls_equal_fresh_processes(self):
+        # each block's hits in a process of its own, against the same blocks
+        # run one after another, both ways round, and again with every kept
+        # array but iota (0, 1, 2, ..., the one read before it is written)
+        # overwritten between calls
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(enumeration.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+        fresh = []
+        for primes in _WORK_BLOCKS:
+            code = f"from test_enumeration import _digest; print(_digest({primes!r}))"
+            fresh.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                        capture_output=True, text=True).stdout.strip())
+
+        def poison():
+            for name, a in enumeration._WORK.items():
+                if name != "iota":
+                    a.fill(True if a.dtype == bool else 3)
+
+        assert [_digest(primes) for primes in _WORK_BLOCKS] == fresh
+        assert [_digest(primes) for primes in _WORK_BLOCKS[::-1]] == fresh[::-1]
+        assert [poison() or _digest(primes) for primes in _WORK_BLOCKS] == fresh
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts Linux's minor page faults")
+    @pytest.mark.parametrize("p", [59263, 150011])
+    def test_lone_prime_calls_fault_in_no_fresh_pages(self, p):
+        # with fresh temporaries per call, a call faulted in 442 pages at
+        # 59263 and 1 025 at 150011 (fresh process, 100 calls after warm-up)
+        for _ in range(3):
+            list(enumeration._block_hits([p]))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            list(enumeration._block_hits([p]))
+        faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20
+        assert faults < 20, faults
 
 
 class TestRounds:
@@ -359,14 +436,17 @@ class TestProgressions:
         assert top <= 1.5e14 and 4 * top < 10**15 < 2**63
 
     def test_enumeration_leaves_module_state_untouched(self):
+        # but for the kept work arrays (_WORK), which hold one call's worth
         def state():
             return {k: repr(v) for k, v in vars(enumeration).items()
-                    if not k.startswith("__")}
+                    if not k.startswith("__") and k != "_WORK"}
 
         before = state()
         assert len(enumerate_fast(199999)) > 0
         assert range_summary(PrimeRange(2, 3000), workers=1)[0].total > 0
         assert state() == before
+        room = max(3 * enumeration._COLUMN_BLOCK + 1, enumeration._CELL_BLOCK)
+        assert 0 < max(a.size for a in enumeration._WORK.values()) <= room
 
 
 def _certificate(p, x, d):

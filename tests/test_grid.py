@@ -72,10 +72,15 @@ class TestNegativeRegion:
 
 class TestBuildGrid:
     def test_matches_classify_cell(self):
-        g = build_grid(17, 25, 40)
-        for y in range(1, 41):
-            for x in range(1, 26):
-                assert g.color_at(x, y) is classify_cell(17, x, y), (x, y)
+        # each window straddles the row 4y = p: below it a row is Yellow up
+        # to the diagonal, above it up to x = floor(py/(4y - p)), and past
+        # that prefix each cell is tested on its own
+        for p, x_max, y_max in [(2, 3, 3), (3, 4, 5), (5, 6, 8), (13, 10, 12), (17, 25, 40),
+                                (71, 60, 300), (1009, 300, 600), (59263, 40, 14830)]:
+            g = build_grid(p, x_max, y_max)
+            for y in range(1, y_max + 1):
+                for x in range(1, x_max + 1):
+                    assert g.color_at(x, y) is classify_cell(p, x, y), (p, x, y)
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
